@@ -1,0 +1,244 @@
+"""Information-theoretic structure measures over agent populations.
+
+The population is read as an ensemble: at each 1-based site the symbols
+of every sequence long enough to reach that site form a distribution,
+whose Shannon entropy (base alphabet size, so each site contributes at
+most 1) says how disordered the site is.  Physical complexity is the
+number of measured sites minus the summed site entropies: the amount of
+sequence that is actually pinned down rather than free.
+
+For mixed-length populations only a prefix of sites carries enough
+samples to be trusted; the calculable length is the longest such prefix
+and the efficiency is the complexity achieved per measurable site.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from collections import Counter
+from dataclasses import dataclass
+
+from .core import Population
+
+__all__ = [
+    "SiteDistribution",
+    "ComplexityReport",
+    "UnmeasurablePopulationError",
+    "sample_size",
+    "site_distribution",
+    "per_site_entropy",
+    "calculable_length",
+    "physical_complexity_fixed",
+    "physical_complexity_variable",
+    "efficiency",
+]
+
+
+@dataclass(frozen=True)
+class SiteDistribution:
+    """Symbol counts at one site, over the sequences that reach it."""
+
+    site: int
+    counts: dict
+    sample_size: int
+
+    def __post_init__(self) -> None:
+        if self.site < 1:
+            raise ValueError(f"site index must be >= 1, got {self.site}")
+        if any(count < 0 for count in self.counts.values()):
+            raise ValueError("symbol counts must be non-negative")
+        total = sum(self.counts.values())
+        if total != self.sample_size:
+            raise ValueError(
+                f"counts sum to {total} but sample_size is {self.sample_size}"
+            )
+
+
+@dataclass(frozen=True)
+class ComplexityReport:
+    """Everything measured about one population in a single pass."""
+
+    calculable_length: int
+    per_site_entropy: tuple[float, ...]
+    complexity: float
+    complexity_potential: float
+    efficiency: float
+    max_length: int
+
+
+class UnmeasurablePopulationError(ValueError):
+    """No site has enough samples for a trustworthy entropy estimate.
+
+    Carries the per-site sample sizes so callers can see how far short
+    the population falls of the alphabet_size * site threshold.
+    """
+
+    def __init__(self, message: str, sample_sizes: dict[int, int]):
+        super().__init__(message)
+        self.sample_sizes = dict(sample_sizes)
+
+
+def sample_size(population: Population, site: int) -> int:
+    """Number of members long enough to have a symbol at `site` (1-based)."""
+    if site < 1:
+        raise ValueError(f"site index must be >= 1, got {site}")
+    return sum(1 for member in population.members if len(member) >= site)
+
+
+def site_distribution(population: Population, site: int) -> SiteDistribution:
+    """Tally the symbols appearing at `site` across the population.
+
+    Only members long enough to reach the site are counted, so the
+    distribution always normalises over its own sample size.
+    """
+    if site < 1 or site > population.max_length:
+        raise ValueError(
+            f"site {site} out of range 1..{population.max_length}"
+        )
+    counts = Counter(
+        member.symbols[site - 1]
+        for member in population.members
+        if len(member) >= site
+    )
+    return SiteDistribution(
+        site=site, counts=dict(counts), sample_size=sum(counts.values())
+    )
+
+
+def per_site_entropy(distribution: SiteDistribution, alphabet_size: int) -> float:
+    """Shannon entropy of one site, in units of base alphabet_size.
+
+    Zero-probability symbols contribute nothing (0 log 0 = 0).  A
+    unanimous site is exactly 0.0 and counts spread uniformly over the
+    whole alphabet are exactly 1.0; everything else lands strictly
+    between, clamped against last-bit rounding.
+    """
+    if alphabet_size < 2:
+        raise ValueError(f"alphabet_size must be >= 2, got {alphabet_size}")
+    if distribution.sample_size < 1:
+        raise ValueError("entropy is undefined for an empty site (sample size 0)")
+    occupied = {
+        symbol: count
+        for symbol, count in distribution.counts.items()
+        if count > 0
+    }
+    if len(occupied) > alphabet_size:
+        raise ValueError(
+            f"{len(occupied)} distinct symbols cannot come from an "
+            f"alphabet of size {alphabet_size}"
+        )
+    if len(occupied) == 1:
+        return 0.0
+    if len(occupied) == alphabet_size and len(set(occupied.values())) == 1:
+        return 1.0
+    log_base = math.log(alphabet_size)
+    total = distribution.sample_size
+    entropy = 0.0
+    # sorted symbol order keeps the summation independent of member order
+    for symbol in sorted(occupied):
+        p = occupied[symbol] / total
+        entropy -= p * math.log(p) / log_base
+    return min(1.0, max(0.0, entropy))
+
+
+def calculable_length(population: Population) -> int:
+    """Longest site prefix with enough samples to measure, 0 if none.
+
+    A site L is measurable when at least alphabet_size * L members reach
+    it.  Sample sizes only shrink with L while the threshold grows, so
+    the measurable sites form a contiguous prefix.
+    """
+    if len(population) == 0:
+        raise ValueError("calculable length of an empty population is undefined")
+    alphabet_size = population.alphabet.size
+    best = 0
+    for site in range(1, population.max_length + 1):
+        if sample_size(population, site) >= alphabet_size * site:
+            best = site
+        else:
+            break
+    return best
+
+
+def physical_complexity_fixed(population: Population) -> float:
+    """Length minus summed site entropies for an equal-length population.
+
+    Warns (rather than failing) when the population is smaller than
+    alphabet_size * length, where the entropy estimates get noisy.
+    """
+    if len(population) == 0:
+        raise ValueError("complexity of an empty population is undefined")
+    lengths = {len(member) for member in population.members}
+    if len(lengths) != 1:
+        raise ValueError(
+            "members have mixed lengths; use physical_complexity_variable"
+        )
+    length = lengths.pop()
+    alphabet_size = population.alphabet.size
+    if len(population) < alphabet_size * length:
+        warnings.warn(
+            f"population size {len(population)} is below "
+            f"alphabet_size * length = {alphabet_size * length}; "
+            "site entropy estimates will be noisy",
+            stacklevel=2,
+        )
+    total_entropy = 0.0
+    for site in range(1, length + 1):
+        total_entropy += per_site_entropy(
+            site_distribution(population, site), alphabet_size
+        )
+    return length - total_entropy
+
+
+def physical_complexity_variable(population: Population) -> ComplexityReport:
+    """Measure a variable-length population over its calculable prefix.
+
+    Raises UnmeasurablePopulationError when no site clears the sampling
+    threshold, attaching the per-site sample sizes for diagnosis.
+    """
+    if len(population) == 0:
+        raise ValueError("complexity of an empty population is undefined")
+    measured = calculable_length(population)
+    if measured == 0:
+        table = {
+            site: sample_size(population, site)
+            for site in range(1, population.max_length + 1)
+        }
+        raise UnmeasurablePopulationError(
+            f"no site has sample size >= {population.alphabet.size} * site; "
+            "population is too small to measure",
+            table,
+        )
+    alphabet_size = population.alphabet.size
+    entropies = tuple(
+        per_site_entropy(site_distribution(population, site), alphabet_size)
+        for site in range(1, measured + 1)
+    )
+    potential = float(measured)
+    complexity = max(0.0, potential - sum(entropies))
+    return ComplexityReport(
+        calculable_length=measured,
+        per_site_entropy=entropies,
+        complexity=complexity,
+        complexity_potential=potential,
+        efficiency=complexity / potential,
+        max_length=population.max_length,
+    )
+
+
+def efficiency(report_or_population) -> float:
+    """Fraction of the measurable information space actually filled.
+
+    Accepts either a finished ComplexityReport or a Population (which is
+    measured first).  1.0 means every measurable site is fully pinned
+    down, 0.0 means the measured prefix is pure noise.
+    """
+    if isinstance(report_or_population, ComplexityReport):
+        report = report_or_population
+        if report.calculable_length < 1:
+            raise UnmeasurablePopulationError(
+                "efficiency is undefined when no site is measurable", {}
+            )
+        return report.efficiency
+    return physical_complexity_variable(report_or_population).efficiency

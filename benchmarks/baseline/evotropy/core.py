@@ -1,0 +1,162 @@
+"""Domain types for populations of agent sequences.
+
+An Alphabet is the global pool of agents available to a system; an
+individual is an AgentSequence (a non-empty run of agent ids) and a
+Population is a multiset of sequences sharing one alphabet.  Everything
+here is an immutable value object so populations can be copied, hashed
+and compared structurally.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+__all__ = [
+    "Agent",
+    "Alphabet",
+    "AgentSequence",
+    "Population",
+    "UserRequest",
+    "genotype_space_size",
+    "min_population_size",
+]
+
+
+@dataclass(frozen=True)
+class Agent:
+    """One agent: an alphabet symbol carrying its service attribute values."""
+
+    id: int
+    attributes: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "attributes", tuple(self.attributes))
+        if self.id < 0:
+            raise ValueError(f"agent id must be non-negative, got {self.id}")
+        if not self.attributes:
+            raise ValueError("agent must carry at least one attribute value")
+
+
+@dataclass(frozen=True)
+class Alphabet:
+    """Ordered pool of distinct agents.
+
+    Agent ids double as indices into the pool, and the pool size is the
+    base of every entropy computed over populations drawn from it.
+    """
+
+    agents: tuple[Agent, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "agents", tuple(self.agents))
+        if len(self.agents) < 2:
+            raise ValueError(
+                f"alphabet needs at least 2 agents, got {len(self.agents)}"
+            )
+        for index, agent in enumerate(self.agents):
+            if agent.id != index:
+                raise ValueError(
+                    f"agent at position {index} has id {agent.id}; "
+                    "ids must equal their pool position"
+                )
+
+    @property
+    def size(self) -> int:
+        return len(self.agents)
+
+    def __len__(self) -> int:
+        return len(self.agents)
+
+
+@dataclass(frozen=True)
+class AgentSequence:
+    """One individual: a non-empty ordered run of agent ids."""
+
+    symbols: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "symbols", tuple(self.symbols))
+        if not self.symbols:
+            raise ValueError("agent sequence must be non-empty")
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+
+@dataclass(frozen=True)
+class Population:
+    """A multiset of agent sequences over one shared alphabet.
+
+    Member order carries no meaning; it is preserved only so that
+    simulations replay byte-for-byte.  Every metric treats the members
+    as an unordered collection.
+    """
+
+    members: tuple[AgentSequence, ...]
+    alphabet: Alphabet
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "members", tuple(self.members))
+        size = self.alphabet.size
+        for member in self.members:
+            for symbol in member.symbols:
+                if not 0 <= symbol < size:
+                    raise ValueError(
+                        f"symbol {symbol} is not a valid agent id for an "
+                        f"alphabet of size {size}"
+                    )
+
+    @classmethod
+    def from_rows(
+        cls, alphabet: Alphabet, rows: Iterable[Sequence[int]]
+    ) -> "Population":
+        """Build a population from plain integer rows, one member per row."""
+        return cls(tuple(AgentSequence(tuple(row)) for row in rows), alphabet)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    @property
+    def max_length(self) -> int:
+        """Length of the longest member; 0 for an empty population."""
+        return max((len(member) for member in self.members), default=0)
+
+
+@dataclass(frozen=True)
+class UserRequest:
+    """The attribute values an evolved sequence is asked to provide."""
+
+    required: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "required", tuple(self.required))
+        if not self.required:
+            raise ValueError("request must name at least one attribute value")
+
+
+def genotype_space_size(alphabet_size: int, length: int) -> int:
+    """Number of distinct sequences of a given length over the alphabet.
+
+    Exact arbitrary-precision integer, alphabet_size ** length; this count
+    is what population entropies are ultimately measured against.
+    """
+    _check_domain(alphabet_size, length)
+    return alphabet_size**length
+
+
+def min_population_size(alphabet_size: int, length: int) -> int:
+    """Smallest sample for trustworthy per-site statistics at this length.
+
+    Below alphabet_size * length members, per-site frequencies are too
+    sparse to estimate site entropies.
+    """
+    _check_domain(alphabet_size, length)
+    return alphabet_size * length
+
+
+def _check_domain(alphabet_size: int, length: int) -> None:
+    if alphabet_size < 2:
+        raise ValueError(f"alphabet_size must be >= 2, got {alphabet_size}")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")

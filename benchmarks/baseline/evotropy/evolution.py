@@ -1,0 +1,420 @@
+"""Fitness-driven evolution of variable-length agent sequences.
+
+The generation loop is deterministic end to end.  Every stochastic
+choice flows through one Mersenne Twister (random.Random) consumed
+exclusively via Random.random(), the single method CPython documents as
+producing a stable stream across versions and platforms for a given
+seed.  Integer draws are derived from it by the helpers below, so one
+(config, seed) pair replays the same trajectory anywhere.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+import random
+from dataclasses import dataclass
+from statistics import fmean
+from typing import Sequence
+
+from .complexity import UnmeasurablePopulationError, physical_complexity_variable
+from .core import AgentSequence, Alphabet, Population, UserRequest
+
+__all__ = [
+    "INITIAL_LENGTH_RANGE",
+    "EvolutionConfig",
+    "EvolutionState",
+    "GenerationStats",
+    "rand_below",
+    "rand_int",
+    "sample_indices",
+    "fitness",
+    "parsimony_adjusted_fitness",
+    "select",
+    "crossover_pair",
+    "mutate",
+    "target_population_size",
+    "step_generation",
+    "run",
+]
+
+# freshly seeded members get lengths drawn uniformly from this range
+INITIAL_LENGTH_RANGE = (1, 5)
+
+_MUTATION_KINDS = ("insert", "replace", "delete")
+
+
+def rand_below(rng: random.Random, n: int) -> int:
+    """Uniform integer in [0, n), derived from a single random() draw."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return min(int(rng.random() * n), n - 1)
+
+
+def rand_int(rng: random.Random, low: int, high: int) -> int:
+    """Uniform integer in [low, high], inclusive on both ends."""
+    if high < low:
+        raise ValueError(f"empty range [{low}, {high}]")
+    return low + rand_below(rng, high - low + 1)
+
+
+def sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
+    """k distinct indices from range(n), in random order.
+
+    Partial Fisher-Yates: consumes exactly k draws regardless of n.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot take {k} distinct indices from {n}")
+    indices = list(range(n))
+    for i in range(k):
+        j = i + rand_below(rng, n - i)
+        indices[i], indices[j] = indices[j], indices[i]
+    return indices[:k]
+
+
+@dataclass(frozen=True)
+class EvolutionConfig:
+    """Knobs for one evolutionary run.
+
+    `discriminating` switches between fitness-proportional survival and
+    an equal-probability baseline; nothing else in the pipeline changes,
+    so the two modes isolate exactly the effect of selection pressure.
+    """
+
+    request: UserRequest
+    alphabet: Alphabet
+    rng_seed: int
+    crossover_fraction: float = 0.10
+    mutation_fraction: float = 0.10
+    parsimony_coefficient: float = 0.1
+    population_floor: int = 160
+    generations: int = 300
+    discriminating: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("crossover_fraction", "mutation_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        if self.parsimony_coefficient < 0.0:
+            raise ValueError(
+                f"parsimony_coefficient must be >= 0, got {self.parsimony_coefficient}"
+            )
+        if self.population_floor < self.alphabet.size:
+            raise ValueError(
+                f"population_floor {self.population_floor} is below the alphabet "
+                f"size {self.alphabet.size}; even length-1 sites would be unmeasurable"
+            )
+        if self.generations < 0:
+            raise ValueError(f"generations must be >= 0, got {self.generations}")
+        if not 0 <= self.rng_seed < 2**64:
+            raise ValueError("rng_seed must be a 64-bit unsigned integer")
+
+
+@dataclass(frozen=True)
+class EvolutionState:
+    """Generation counter, current population, and the PRNG state to resume from."""
+
+    generation: int
+    population: Population
+    rng_state: tuple
+
+    def __post_init__(self) -> None:
+        if self.generation < 0:
+            raise ValueError(f"generation must be >= 0, got {self.generation}")
+        if len(self.population) == 0:
+            raise ValueError("evolution state requires a non-empty population")
+
+
+@dataclass(frozen=True)
+class GenerationStats:
+    """One row of the per-generation record.
+
+    max_fitness and mean_fitness are raw (pre-parsimony) fitness
+    statistics of the population evaluated at the start of the step; the
+    remaining fields describe the population the step produced.  The
+    generation-0 row measures the freshly seeded population on both
+    counts.  complexity and efficiency are None when no site of the
+    population is measurable.
+    """
+
+    generation: int
+    max_fitness: float
+    mean_fitness: float
+    mean_length: float
+    population_size: int
+    calculable_length: int
+    complexity: float | None
+    efficiency: float | None
+
+    def __post_init__(self) -> None:
+        if self.max_fitness < self.mean_fitness - 1e-12:
+            raise ValueError("max_fitness cannot be below mean_fitness")
+        if self.population_size < 1:
+            raise ValueError("population_size must be >= 1")
+
+
+def fitness(
+    individual: AgentSequence, request: UserRequest, alphabet: Alphabet
+) -> float:
+    """How closely the individual's pooled attributes cover the request.
+
+    Every agent in the sequence contributes all of its attribute values
+    to one pool; each requested value is matched against the closest
+    pooled value and the absolute gaps are summed.  Returns
+    1 / (1 + total gap), so exact coverage scores 1.0 and the score is
+    always positive.
+    """
+    pool = [
+        value
+        for symbol in individual.symbols
+        for value in alphabet.agents[symbol].attributes
+    ]
+    total_gap = 0
+    for wanted in request.required:
+        total_gap += min(abs(wanted - value) for value in pool)
+    return 1.0 / (1.0 + total_gap)
+
+
+def parsimony_adjusted_fitness(
+    raw: float, length: int, mean_length: float, coefficient: float
+) -> float:
+    """Penalise above-average length by dividing the raw fitness.
+
+    Members at or below the population mean keep their raw score
+    untouched; longer ones are divided by 1 + coefficient * excess, which
+    keeps the result positive so roulette selection stays well defined.
+    """
+    if raw <= 0.0:
+        raise ValueError(f"raw fitness must be positive, got {raw}")
+    if coefficient < 0.0:
+        raise ValueError(f"coefficient must be >= 0, got {coefficient}")
+    excess = max(0.0, length - mean_length)
+    return raw / (1.0 + coefficient * excess)
+
+
+def select(
+    population: Population,
+    adjusted_fitness: Sequence[float],
+    target_size: int,
+    rng: random.Random,
+) -> Population:
+    """Roulette-wheel sampling with replacement down (or up) to target_size.
+
+    Each draw lands on a member with probability proportional to its
+    adjusted fitness.  Non-elitist: nothing is guaranteed survival, and
+    one member may be picked many times.
+    """
+    members = population.members
+    if len(members) == 0:
+        raise ValueError("cannot select from an empty population")
+    if len(adjusted_fitness) != len(members):
+        raise ValueError(
+            f"{len(adjusted_fitness)} fitness values for {len(members)} members"
+        )
+    if target_size < 1:
+        raise ValueError(f"target_size must be >= 1, got {target_size}")
+    if any(value <= 0.0 for value in adjusted_fitness):
+        raise ValueError("adjusted fitness values must all be positive")
+
+    cumulative = []
+    running = 0.0
+    for value in adjusted_fitness:
+        running += value
+        cumulative.append(running)
+    last = len(members) - 1
+    chosen = tuple(
+        members[min(bisect.bisect_right(cumulative, rng.random() * running), last)]
+        for _ in range(target_size)
+    )
+    return Population(chosen, population.alphabet)
+
+
+def crossover_pair(
+    parent1: AgentSequence, parent2: AgentSequence, rng: random.Random
+) -> tuple[AgentSequence, AgentSequence]:
+    """One-point crossover at a cut both parents share.
+
+    The cut is drawn uniformly from [1, min(len) - 1] and the tails are
+    exchanged, so children are never empty and the pair conserves both
+    total length and the combined symbol multiset.  Pairs containing a
+    length-1 parent have no interior cut and pass through unchanged.
+    """
+    shorter = min(len(parent1), len(parent2))
+    if shorter < 2:
+        return parent1, parent2
+    cut = 1 + rand_below(rng, shorter - 1)
+    child1 = AgentSequence(parent1.symbols[:cut] + parent2.symbols[cut:])
+    child2 = AgentSequence(parent2.symbols[:cut] + parent1.symbols[cut:])
+    return child1, child2
+
+
+def mutate(
+    individual: AgentSequence, alphabet: Alphabet, rng: random.Random
+) -> AgentSequence:
+    """Apply one point mutation: insert, replace or delete, chosen uniformly.
+
+    Deleting from a length-1 individual is re-mapped to replace so no
+    individual ever becomes empty.  Replacement draws uniformly from the
+    other alphabet symbols, so the output always differs from the input
+    in exactly one edit.
+    """
+    symbols = individual.symbols
+    kind = _MUTATION_KINDS[rand_below(rng, 3)]
+    if kind == "delete" and len(symbols) == 1:
+        kind = "replace"
+    if kind == "insert":
+        position = rand_below(rng, len(symbols) + 1)
+        symbol = rand_below(rng, alphabet.size)
+        return AgentSequence(symbols[:position] + (symbol,) + symbols[position:])
+    if kind == "replace":
+        position = rand_below(rng, len(symbols))
+        offset = 1 + rand_below(rng, alphabet.size - 1)
+        symbol = (symbols[position] + offset) % alphabet.size
+        return AgentSequence(
+            symbols[:position] + (symbol,) + symbols[position + 1 :]
+        )
+    position = rand_below(rng, len(symbols))
+    return AgentSequence(symbols[:position] + symbols[position + 1 :])
+
+
+def target_population_size(
+    mean_length: float, alphabet_size: int, floor: int
+) -> int:
+    """Population size that keeps typical-length sites measurable.
+
+    max(floor, ceil(alphabet_size * mean_length)): the population grows
+    with the average sequence so site statistics keep pace with length.
+    """
+    if mean_length < 1.0:
+        raise ValueError(f"mean_length must be >= 1, got {mean_length}")
+    if alphabet_size < 2:
+        raise ValueError(f"alphabet_size must be >= 2, got {alphabet_size}")
+    if floor < 1:
+        raise ValueError(f"floor must be >= 1, got {floor}")
+    return max(floor, math.ceil(alphabet_size * mean_length))
+
+
+def _stats_for(
+    generation: int, raw_fitness: Sequence[float], population: Population
+) -> GenerationStats:
+    try:
+        report = physical_complexity_variable(population)
+        measured = report.calculable_length
+        complexity: float | None = report.complexity
+        efficiency: float | None = report.efficiency
+    except UnmeasurablePopulationError:
+        measured, complexity, efficiency = 0, None, None
+    return GenerationStats(
+        generation=generation,
+        max_fitness=max(raw_fitness),
+        mean_fitness=fmean(raw_fitness),
+        mean_length=fmean(len(member) for member in population.members),
+        population_size=len(population),
+        calculable_length=measured,
+        complexity=complexity,
+        efficiency=efficiency,
+    )
+
+
+def step_generation(
+    state: EvolutionState, config: EvolutionConfig
+) -> tuple[EvolutionState, GenerationStats]:
+    """Advance one generation: evaluate, select, recombine, mutate, measure.
+
+    The order is fixed: raw fitness for everyone, parsimony adjustment
+    against the current mean length, roulette selection to the dynamic
+    target size, one-point crossover on a random even-sized slice of the
+    survivors, single point mutations on a random slice of the result
+    (crossover children included), then the complexity report of the new
+    population.  The returned stats carry the raw fitness of the
+    evaluated parents together with the shape of the population they
+    produced.
+    """
+    rng = random.Random()
+    rng.setstate(state.rng_state)
+    members = state.population.members
+    alphabet = config.alphabet
+
+    raw = [fitness(member, config.request, alphabet) for member in members]
+    mean_length = fmean(len(member) for member in members)
+    adjusted = [
+        parsimony_adjusted_fitness(
+            score, len(member), mean_length, config.parsimony_coefficient
+        )
+        for score, member in zip(raw, members)
+    ]
+    # the nondiscriminating baseline feeds flat weights to the same roulette
+    weights = adjusted if config.discriminating else [1.0] * len(members)
+
+    target = target_population_size(mean_length, alphabet.size, config.population_floor)
+    survivors = list(select(state.population, weights, target, rng).members)
+
+    paired = int(config.crossover_fraction * len(survivors))
+    paired -= paired % 2
+    if paired >= 2:
+        picks = sample_indices(rng, len(survivors), paired)
+        for first, second in zip(picks[::2], picks[1::2]):
+            survivors[first], survivors[second] = crossover_pair(
+                survivors[first], survivors[second], rng
+            )
+
+    mutated = int(config.mutation_fraction * len(survivors))
+    for index in sample_indices(rng, len(survivors), mutated):
+        survivors[index] = mutate(survivors[index], alphabet, rng)
+
+    next_population = Population(tuple(survivors), alphabet)
+    stats = _stats_for(state.generation + 1, raw, next_population)
+    next_state = EvolutionState(
+        generation=state.generation + 1,
+        population=next_population,
+        rng_state=rng.getstate(),
+    )
+    return next_state, stats
+
+
+def run(
+    config: EvolutionConfig, snapshot_every: int = 0
+) -> tuple[list[GenerationStats], EvolutionState, list[tuple[int, Population]]]:
+    """Seed a population from the config and iterate the generation loop.
+
+    The initial population holds population_floor members with lengths
+    drawn uniformly from INITIAL_LENGTH_RANGE and uniformly random
+    symbols.  Returns the stats rows (generation 0 is the measurement of
+    the freshly seeded population; generations == 0 yields only that
+    row), the final state, and (generation, population) snapshots taken
+    every `snapshot_every` generations.  0 disables snapshots; when
+    enabled, the final generation is always captured.
+    """
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
+    rng = random.Random(config.rng_seed)
+    low, high = INITIAL_LENGTH_RANGE
+    members = []
+    for _ in range(config.population_floor):
+        length = rand_int(rng, low, high)
+        members.append(
+            AgentSequence(
+                tuple(rand_below(rng, config.alphabet.size) for _ in range(length))
+            )
+        )
+    population = Population(tuple(members), config.alphabet)
+    state = EvolutionState(0, population, rng.getstate())
+
+    raw = [fitness(member, config.request, config.alphabet) for member in members]
+    stats = [_stats_for(0, raw, population)]
+
+    def wants_snapshot(generation: int) -> bool:
+        if snapshot_every <= 0:
+            return False
+        return generation % snapshot_every == 0 or generation == config.generations
+
+    snapshots = []
+    if wants_snapshot(0):
+        snapshots.append((0, population))
+    for generation in range(1, config.generations + 1):
+        state, row = step_generation(state, config)
+        stats.append(row)
+        if wants_snapshot(generation):
+            snapshots.append((generation, state.population))
+    return stats, state, snapshots

@@ -1,0 +1,397 @@
+"""Experiment orchestration: config files, runs, CSV metrics, snapshots.
+
+A run is described by a flat `key = value` text file.  The agent pool
+and the request are generated from the seed (on a stream separate from
+the evolution stream), so a config file plus seed pins down the whole
+experiment: two executions produce byte-identical output files.
+"""
+
+from __future__ import annotations
+
+import colorsys
+import random
+from dataclasses import dataclass, fields
+from pathlib import Path
+
+from .core import Agent, Alphabet, Population, UserRequest
+from .evolution import EvolutionConfig, GenerationStats, rand_int, run
+
+__all__ = [
+    "MODES",
+    "STATS_HEADER",
+    "ConfigError",
+    "RunConfig",
+    "SnapshotFile",
+    "parse_config",
+    "validate_run_config",
+    "generate_alphabet",
+    "generate_request",
+    "build_evolution_config",
+    "format_stats_csv",
+    "write_stats_csv",
+    "format_snapshot",
+    "palette_color",
+    "render_snapshot",
+    "read_population_file",
+    "run_experiment",
+]
+
+MODES = ("discriminating", "nondiscriminating")
+
+STATS_HEADER = (
+    "generation,max_fitness,mean_fitness,mean_length,"
+    "population_size,calculable_length,complexity,efficiency"
+)
+
+WHITE = (255, 255, 255)
+
+
+class ConfigError(ValueError):
+    """Bad configuration text or values; messages name the offending key."""
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Scalar experiment settings.
+
+    The alphabet and request are not stored here: they are derived from
+    rng_seed together with the pool/request shape keys, so the config
+    file stays a flat list of scalars.  Defaults below are the documented
+    defaults of the config format; rng_seed is the one required key.
+    """
+
+    rng_seed: int
+    mode: str = "discriminating"
+    generations: int = 300
+    crossover_fraction: float = 0.10
+    mutation_fraction: float = 0.10
+    parsimony_coefficient: float = 0.1
+    population_floor: int = 160
+    pool_size: int = 16
+    attributes_per_agent: int = 2
+    request_length: int = 4
+    attribute_min: int = 0
+    attribute_max: int = 9
+    snapshot_every: int = 0
+    output_dir: str = "out"
+
+
+@dataclass(frozen=True)
+class SnapshotFile:
+    """Population rows captured at one generation."""
+
+    generation: int
+    rows: tuple[tuple[int, ...], ...]
+
+
+_FIELD_TYPES = {field.name: field.type for field in fields(RunConfig)}
+_STRING_KEYS = {"mode", "output_dir"}
+_FLOAT_KEYS = {
+    "crossover_fraction",
+    "mutation_fraction",
+    "parsimony_coefficient",
+}
+
+
+def _convert(key: str, text: str, line_number: int):
+    if key in _STRING_KEYS:
+        return text
+    try:
+        if key in _FLOAT_KEYS:
+            return float(text)
+        return int(text)
+    except ValueError:
+        kind = "number" if key in _FLOAT_KEYS else "integer"
+        raise ConfigError(
+            f"line {line_number}: {key} expects an {kind}, got {text!r}"
+        ) from None
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse a flat `key = value` document into a RunConfig.
+
+    Blank lines are skipped and `#` starts a comment.  Unknown and
+    duplicated keys are rejected with their line number; rng_seed is
+    required; every other key falls back to its RunConfig default.
+    """
+    values: dict = {}
+    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(
+                f"line {line_number}: expected 'key = value', got {raw_line.strip()!r}"
+            )
+        key, _, value_text = line.partition("=")
+        key = key.strip()
+        value_text = value_text.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"line {line_number}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {line_number}: duplicate key {key!r}")
+        if not value_text:
+            raise ConfigError(f"line {line_number}: {key} has no value")
+        values[key] = _convert(key, value_text, line_number)
+    if "rng_seed" not in values:
+        raise ConfigError("missing required key 'rng_seed'")
+    config = RunConfig(**values)
+    validate_run_config(config)
+    return config
+
+
+def validate_run_config(config: RunConfig) -> None:
+    """Reject configs that violate an invariant; messages name key and rule."""
+    if not 0 <= config.rng_seed < 2**64:
+        raise ConfigError("rng_seed must be a 64-bit unsigned integer")
+    if config.mode not in MODES:
+        raise ConfigError(
+            f"mode must be one of {', '.join(MODES)}; got {config.mode!r}"
+        )
+    if config.generations < 0:
+        raise ConfigError("generations must be >= 0")
+    for name in ("crossover_fraction", "mutation_fraction"):
+        value = getattr(config, name)
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+    if config.parsimony_coefficient < 0.0:
+        raise ConfigError("parsimony_coefficient must be >= 0")
+    if config.pool_size < 2:
+        raise ConfigError(
+            "pool_size must be at least 2: site entropies need an alphabet of two"
+        )
+    if config.attributes_per_agent < 1:
+        raise ConfigError("attributes_per_agent must be >= 1")
+    if config.request_length < 1:
+        raise ConfigError("request_length must be >= 1")
+    if config.attribute_min > config.attribute_max:
+        raise ConfigError(
+            "attribute_min must not exceed attribute_max "
+            f"({config.attribute_min} > {config.attribute_max})"
+        )
+    if config.population_floor < config.pool_size:
+        raise ConfigError(
+            f"population_floor {config.population_floor} is below pool_size "
+            f"{config.pool_size}; length-1 sites would be unmeasurable"
+        )
+    if config.snapshot_every < 0:
+        raise ConfigError("snapshot_every must be >= 0")
+
+
+def generate_alphabet(
+    rng: random.Random,
+    pool_size: int,
+    attributes_per_agent: int,
+    low: int,
+    high: int,
+) -> Alphabet:
+    """Agent pool with uniformly random attribute values in [low, high]."""
+    agents = []
+    for index in range(pool_size):
+        attributes = tuple(
+            rand_int(rng, low, high) for _ in range(attributes_per_agent)
+        )
+        agents.append(Agent(index, attributes))
+    return Alphabet(tuple(agents))
+
+
+def generate_request(
+    rng: random.Random, length: int, low: int, high: int
+) -> UserRequest:
+    """Request of `length` uniformly random attribute values in [low, high]."""
+    return UserRequest(tuple(rand_int(rng, low, high) for _ in range(length)))
+
+
+def build_evolution_config(config: RunConfig) -> EvolutionConfig:
+    """Derive the agent pool and request from the seed, then assemble the run.
+
+    Setup draws come from a stream seeded with "setup:<seed>" so they
+    never overlap the evolution stream seeded with the bare integer.
+    """
+    setup_rng = random.Random(f"setup:{config.rng_seed}")
+    alphabet = generate_alphabet(
+        setup_rng,
+        config.pool_size,
+        config.attributes_per_agent,
+        config.attribute_min,
+        config.attribute_max,
+    )
+    request = generate_request(
+        setup_rng, config.request_length, config.attribute_min, config.attribute_max
+    )
+    return EvolutionConfig(
+        request=request,
+        alphabet=alphabet,
+        rng_seed=config.rng_seed,
+        crossover_fraction=config.crossover_fraction,
+        mutation_fraction=config.mutation_fraction,
+        parsimony_coefficient=config.parsimony_coefficient,
+        population_floor=config.population_floor,
+        generations=config.generations,
+        discriminating=config.mode == "discriminating",
+    )
+
+
+def _real(value: float) -> str:
+    # fixed 9 decimal places: round-trips within 1e-9 and keeps files byte-stable
+    return f"{value:.9f}"
+
+
+def format_stats_csv(stats: list[GenerationStats]) -> str:
+    """Render stats rows as CSV text.
+
+    Column order matches STATS_HEADER; reals carry 9 decimal places; the
+    complexity and efficiency fields are left empty on rows where the
+    population was unmeasurable.
+    """
+    lines = [STATS_HEADER]
+    for row in stats:
+        lines.append(
+            ",".join(
+                (
+                    str(row.generation),
+                    _real(row.max_fitness),
+                    _real(row.mean_fitness),
+                    _real(row.mean_length),
+                    str(row.population_size),
+                    str(row.calculable_length),
+                    "" if row.complexity is None else _real(row.complexity),
+                    "" if row.efficiency is None else _real(row.efficiency),
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def write_stats_csv(stats: list[GenerationStats], path) -> None:
+    if not stats:
+        raise ValueError("stats must contain at least one row")
+    Path(path).write_text(format_stats_csv(stats), encoding="ascii", newline="\n")
+
+
+def format_snapshot(snapshot: SnapshotFile) -> str:
+    """Plain-text snapshot: one member per line, space-separated agent ids."""
+    if not snapshot.rows:
+        raise ValueError("snapshot has no rows")
+    return (
+        "\n".join(" ".join(str(symbol) for symbol in row) for row in snapshot.rows)
+        + "\n"
+    )
+
+
+def palette_color(symbol: int, alphabet_size: int) -> tuple[int, int, int]:
+    """Deterministic color for an agent id.
+
+    Evenly spaced hues at fixed saturation and value, so the mapping
+    depends only on (symbol, alphabet_size) and no symbol ever maps to
+    the white reserved for padding.
+    """
+    if not 0 <= symbol < alphabet_size:
+        raise ValueError(f"symbol {symbol} outside alphabet of size {alphabet_size}")
+    red, green, blue = colorsys.hsv_to_rgb(symbol / alphabet_size, 0.85, 0.82)
+    return round(red * 255), round(green * 255), round(blue * 255)
+
+
+def render_snapshot(snapshot: SnapshotFile, alphabet_size: int) -> str:
+    """Render one snapshot as a plain-text (P3) portable pixmap.
+
+    One pixel row per member, one pixel per site, left aligned; rows
+    shorter than the longest member are padded with white pixels.
+    """
+    if not snapshot.rows:
+        raise ValueError("snapshot has no rows")
+    width = max(len(row) for row in snapshot.rows)
+    lines = ["P3", f"{width} {len(snapshot.rows)}", "255"]
+    for row in snapshot.rows:
+        pixels = [palette_color(symbol, alphabet_size) for symbol in row]
+        pixels.extend([WHITE] * (width - len(row)))
+        lines.append(" ".join(f"{r} {g} {b}" for r, g, b in pixels))
+    return "\n".join(lines) + "\n"
+
+
+def read_population_file(path) -> Population:
+    """Read a population from text: an alphabet_size header plus member rows.
+
+    The first non-blank line must be `alphabet_size=<n>`; every following
+    non-blank line is one member as space-separated agent ids.  The
+    returned population uses a synthetic alphabet (attributes are not
+    recorded in the format), which is all the complexity measures need.
+    """
+    text = Path(path).read_text(encoding="ascii")
+    header: int | None = None
+    rows: list[tuple[int, ...]] = []
+    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line:
+            continue
+        if header is None:
+            key, _, value = line.partition("=")
+            if key.strip() != "alphabet_size" or not value.strip():
+                raise ConfigError(
+                    f"line {line_number}: expected 'alphabet_size=<n>' header, "
+                    f"got {line!r}"
+                )
+            try:
+                header = int(value.strip())
+            except ValueError:
+                raise ConfigError(
+                    f"line {line_number}: alphabet_size expects an integer, "
+                    f"got {value.strip()!r}"
+                ) from None
+            if header < 2:
+                raise ConfigError("alphabet_size must be at least 2")
+            continue
+        try:
+            rows.append(tuple(int(token) for token in line.split()))
+        except ValueError:
+            raise ConfigError(
+                f"line {line_number}: member rows must be space-separated "
+                f"integers, got {line!r}"
+            ) from None
+    if header is None:
+        raise ConfigError("population file is missing the alphabet_size header")
+    if not rows:
+        raise ConfigError("population file has no member rows")
+    alphabet = Alphabet(tuple(Agent(index, (0,)) for index in range(header)))
+    try:
+        return Population.from_rows(alphabet, rows)
+    except ValueError as error:
+        raise ConfigError(str(error)) from None
+
+
+def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
+    """Run one experiment and write its artifacts under the output directory.
+
+    Writes stats.csv always and snap_<generation>.txt plus
+    snap_<generation>.ppm at the configured cadence, then prints the
+    final max fitness and efficiency.  `out_dir` overrides
+    config.output_dir when given.  Returns the stats rows.
+    """
+    validate_run_config(config)
+    evolution_config = build_evolution_config(config)
+    stats, _, snapshots = run(evolution_config, snapshot_every=config.snapshot_every)
+
+    directory = Path(out_dir if out_dir is not None else config.output_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    write_stats_csv(stats, directory / "stats.csv")
+    for generation, population in snapshots:
+        snapshot = SnapshotFile(
+            generation=generation,
+            rows=tuple(tuple(member.symbols) for member in population.members),
+        )
+        (directory / f"snap_{generation}.txt").write_text(
+            format_snapshot(snapshot), encoding="ascii", newline="\n"
+        )
+        (directory / f"snap_{generation}.ppm").write_text(
+            render_snapshot(snapshot, evolution_config.alphabet.size),
+            encoding="ascii",
+            newline="\n",
+        )
+
+    final = stats[-1]
+    print(f"final_max_fitness: {_real(final.max_fitness)}")
+    if final.efficiency is None:
+        print("final_efficiency: unmeasurable")
+    else:
+        print(f"final_efficiency: {_real(final.efficiency)}")
+    return stats
