@@ -3,117 +3,17 @@ for populations of variable-length agent sequences."""
 
 __version__ = "0.1.0"
 
-from .core import (
-    Agent,
-    AgentSequence,
-    Alphabet,
-    Population,
-    UserRequest,
-    genotype_space_size,
-    min_population_size,
-)
-from .complexity import (
-    ComplexityReport,
-    SiteDistribution,
-    UnmeasurablePopulationError,
-    calculable_length,
-    efficiency,
-    per_site_entropy,
-    physical_complexity_fixed,
-    physical_complexity_variable,
-    sample_size,
-    site_distribution,
-)
-from .evolution import (
-    INITIAL_LENGTH_RANGE,
-    EvolutionConfig,
-    EvolutionState,
-    GenerationStats,
-    crossover_pair,
-    fitness,
-    mutate,
-    parsimony_adjusted_fitness,
-    rand_below,
-    rand_int,
-    run,
-    sample_indices,
-    select,
-    step_generation,
-    target_population_size,
-)
-from .harness import (
-    MODES,
-    STATS_HEADER,
-    ConfigError,
-    RunConfig,
-    SnapshotFile,
-    build_evolution_config,
-    format_snapshot,
-    format_stats_csv,
-    generate_alphabet,
-    generate_request,
-    palette_color,
-    parse_config,
-    read_population_file,
-    render_snapshot,
-    run_experiment,
-    validate_run_config,
-    write_stats_csv,
-)
+from . import complexity, core, evolution, harness
+from .complexity import *
+from .core import *
+from .evolution import *
+from .harness import *
 
+# each module's __all__ is the one list of its public names
 __all__ = [
     "__version__",
-    # core
-    "Agent",
-    "AgentSequence",
-    "Alphabet",
-    "Population",
-    "UserRequest",
-    "genotype_space_size",
-    "min_population_size",
-    # complexity
-    "ComplexityReport",
-    "SiteDistribution",
-    "UnmeasurablePopulationError",
-    "calculable_length",
-    "efficiency",
-    "per_site_entropy",
-    "physical_complexity_fixed",
-    "physical_complexity_variable",
-    "sample_size",
-    "site_distribution",
-    # evolution
-    "INITIAL_LENGTH_RANGE",
-    "EvolutionConfig",
-    "EvolutionState",
-    "GenerationStats",
-    "crossover_pair",
-    "fitness",
-    "mutate",
-    "parsimony_adjusted_fitness",
-    "rand_below",
-    "rand_int",
-    "run",
-    "sample_indices",
-    "select",
-    "step_generation",
-    "target_population_size",
-    # harness
-    "MODES",
-    "STATS_HEADER",
-    "ConfigError",
-    "RunConfig",
-    "SnapshotFile",
-    "build_evolution_config",
-    "format_snapshot",
-    "format_stats_csv",
-    "generate_alphabet",
-    "generate_request",
-    "palette_color",
-    "parse_config",
-    "read_population_file",
-    "render_snapshot",
-    "run_experiment",
-    "validate_run_config",
-    "write_stats_csv",
+    *core.__all__,
+    *complexity.__all__,
+    *evolution.__all__,
+    *harness.__all__,
 ]

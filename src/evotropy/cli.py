@@ -68,13 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as handle:
-            text = handle.read()
+            config = parse_config(handle.read())
     except OSError as error:
         print(f"i/o error: cannot read {args.config}: {error}", file=sys.stderr)
         return EXIT_IO
-    try:
-        config = parse_config(text)
-    except ConfigError as error:
+    except (ConfigError, UnicodeDecodeError) as error:
         print(f"config error: {error}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -94,7 +92,7 @@ def _cmd_analyze(args) -> int:
     except OSError as error:
         print(f"i/o error: cannot read {args.population}: {error}", file=sys.stderr)
         return EXIT_IO
-    except ConfigError as error:
+    except (ConfigError, UnicodeDecodeError) as error:
         print(f"config error: {error}", file=sys.stderr)
         return EXIT_CONFIG
     try:

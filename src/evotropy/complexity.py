@@ -15,7 +15,6 @@ and the efficiency is the complexity achieved per measurable site.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ __all__ = [
     "site_distribution",
     "per_site_entropy",
     "calculable_length",
-    "physical_complexity_fixed",
     "physical_complexity_variable",
     "efficiency",
 ]
@@ -161,36 +159,6 @@ def calculable_length(population: Population) -> int:
     return best
 
 
-def physical_complexity_fixed(population: Population) -> float:
-    """Length minus summed site entropies for an equal-length population.
-
-    Warns (rather than failing) when the population is smaller than
-    alphabet_size * length, where the entropy estimates get noisy.
-    """
-    if len(population) == 0:
-        raise ValueError("complexity of an empty population is undefined")
-    lengths = {len(member) for member in population.members}
-    if len(lengths) != 1:
-        raise ValueError(
-            "members have mixed lengths; use physical_complexity_variable"
-        )
-    length = lengths.pop()
-    alphabet_size = population.alphabet.size
-    if len(population) < alphabet_size * length:
-        warnings.warn(
-            f"population size {len(population)} is below "
-            f"alphabet_size * length = {alphabet_size * length}; "
-            "site entropy estimates will be noisy",
-            stacklevel=2,
-        )
-    total_entropy = 0.0
-    for site in range(1, length + 1):
-        total_entropy += per_site_entropy(
-            site_distribution(population, site), alphabet_size
-        )
-    return length - total_entropy
-
-
 def physical_complexity_variable(population: Population) -> ComplexityReport:
     """Measure a variable-length population over its calculable prefix.
 
@@ -227,18 +195,10 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
     )
 
 
-def efficiency(report_or_population) -> float:
+def efficiency(population: Population) -> float:
     """Fraction of the measurable information space actually filled.
 
-    Accepts either a finished ComplexityReport or a Population (which is
-    measured first).  1.0 means every measurable site is fully pinned
-    down, 0.0 means the measured prefix is pure noise.
+    1.0 means every measurable site is fully pinned down, 0.0 means the
+    measured prefix is pure noise.
     """
-    if isinstance(report_or_population, ComplexityReport):
-        report = report_or_population
-        if report.calculable_length < 1:
-            raise UnmeasurablePopulationError(
-                "efficiency is undefined when no site is measurable", {}
-            )
-        return report.efficiency
-    return physical_complexity_variable(report_or_population).efficiency
+    return physical_complexity_variable(population).efficiency

@@ -18,8 +18,6 @@ __all__ = [
     "AgentSequence",
     "Population",
     "UserRequest",
-    "genotype_space_size",
-    "min_population_size",
 ]
 
 
@@ -134,29 +132,3 @@ class UserRequest:
         if not self.required:
             raise ValueError("request must name at least one attribute value")
 
-
-def genotype_space_size(alphabet_size: int, length: int) -> int:
-    """Number of distinct sequences of a given length over the alphabet.
-
-    Exact arbitrary-precision integer, alphabet_size ** length; this count
-    is what population entropies are ultimately measured against.
-    """
-    _check_domain(alphabet_size, length)
-    return alphabet_size**length
-
-
-def min_population_size(alphabet_size: int, length: int) -> int:
-    """Smallest sample for trustworthy per-site statistics at this length.
-
-    Below alphabet_size * length members, per-site frequencies are too
-    sparse to estimate site entropies.
-    """
-    _check_domain(alphabet_size, length)
-    return alphabet_size * length
-
-
-def _check_domain(alphabet_size: int, length: int) -> None:
-    if alphabet_size < 2:
-        raise ValueError(f"alphabet_size must be >= 2, got {alphabet_size}")
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")

@@ -22,6 +22,7 @@ from .core import AgentSequence, Alphabet, Population, UserRequest
 
 __all__ = [
     "INITIAL_LENGTH_RANGE",
+    "ConfigError",
     "EvolutionConfig",
     "EvolutionState",
     "GenerationStats",
@@ -42,6 +43,10 @@ __all__ = [
 INITIAL_LENGTH_RANGE = (1, 5)
 
 _MUTATION_KINDS = ("insert", "replace", "delete")
+
+
+class ConfigError(ValueError):
+    """Bad configuration text or values; messages name the offending key."""
 
 
 def rand_below(rng: random.Random, n: int) -> int:
@@ -92,23 +97,34 @@ class EvolutionConfig:
     discriminating: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("crossover_fraction", "mutation_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.parsimony_coefficient < 0.0:
-            raise ValueError(
-                f"parsimony_coefficient must be >= 0, got {self.parsimony_coefficient}"
-            )
-        if self.population_floor < self.alphabet.size:
-            raise ValueError(
-                f"population_floor {self.population_floor} is below the alphabet "
-                f"size {self.alphabet.size}; even length-1 sites would be unmeasurable"
-            )
-        if self.generations < 0:
-            raise ValueError(f"generations must be >= 0, got {self.generations}")
-        if not 0 <= self.rng_seed < 2**64:
-            raise ValueError("rng_seed must be a 64-bit unsigned integer")
+        check_settings(self, self.alphabet.size)
+
+
+def check_settings(settings, pool_size: int) -> None:
+    """Reject run settings that break an invariant; messages name the key.
+
+    The one rule set for the fields EvolutionConfig and harness.RunConfig
+    share; `pool_size` is the number of agents in the alphabet.
+    """
+    if not 0 <= settings.rng_seed < 2**64:
+        raise ConfigError("rng_seed must be a 64-bit unsigned integer")
+    if settings.generations < 0:
+        raise ConfigError(f"generations must be >= 0, got {settings.generations}")
+    for name in ("crossover_fraction", "mutation_fraction"):
+        value = getattr(settings, name)
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+    # the chained comparison is False for nan, which `< 0` would let through
+    if not 0.0 <= settings.parsimony_coefficient < math.inf:
+        raise ConfigError(
+            "parsimony_coefficient must be finite and >= 0, "
+            f"got {settings.parsimony_coefficient}"
+        )
+    if settings.population_floor < pool_size:
+        raise ConfigError(
+            f"population_floor {settings.population_floor} is below the pool size "
+            f"{pool_size}; length-1 sites would be unmeasurable"
+        )
 
 
 @dataclass(frozen=True)

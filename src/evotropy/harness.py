@@ -12,18 +12,23 @@ import colorsys
 import random
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 from .core import Agent, Alphabet, Population, UserRequest
-from .evolution import EvolutionConfig, GenerationStats, rand_int, run
+from .evolution import (
+    ConfigError,
+    EvolutionConfig,
+    GenerationStats,
+    check_settings,
+    rand_int,
+    run,
+)
 
 __all__ = [
     "MODES",
     "STATS_HEADER",
-    "ConfigError",
     "RunConfig",
-    "SnapshotFile",
     "parse_config",
-    "validate_run_config",
     "generate_alphabet",
     "generate_request",
     "build_evolution_config",
@@ -46,10 +51,6 @@ STATS_HEADER = (
 WHITE = (255, 255, 255)
 
 
-class ConfigError(ValueError):
-    """Bad configuration text or values; messages name the offending key."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Scalar experiment settings.
@@ -58,6 +59,7 @@ class RunConfig:
     rng_seed together with the pool/request shape keys, so the config
     file stays a flat list of scalars.  Defaults below are the documented
     defaults of the config format; rng_seed is the one required key.
+    Construction raises ConfigError on any invalid value.
     """
 
     rng_seed: int
@@ -75,16 +77,30 @@ class RunConfig:
     snapshot_every: int = 0
     output_dir: str = "out"
 
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ConfigError(
+                f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"
+            )
+        if self.pool_size < 2:
+            raise ConfigError(
+                "pool_size must be at least 2: site entropies need an alphabet of two"
+            )
+        if self.attributes_per_agent < 1:
+            raise ConfigError("attributes_per_agent must be >= 1")
+        if self.request_length < 1:
+            raise ConfigError("request_length must be >= 1")
+        if self.attribute_min > self.attribute_max:
+            raise ConfigError(
+                "attribute_min must not exceed attribute_max "
+                f"({self.attribute_min} > {self.attribute_max})"
+            )
+        if self.snapshot_every < 0:
+            raise ConfigError("snapshot_every must be >= 0")
+        check_settings(self, self.pool_size)
 
-@dataclass(frozen=True)
-class SnapshotFile:
-    """Population rows captured at one generation."""
 
-    generation: int
-    rows: tuple[tuple[int, ...], ...]
-
-
-_FIELD_TYPES = {field.name: field.type for field in fields(RunConfig)}
+_KEYS = {field.name for field in fields(RunConfig)}
 _STRING_KEYS = {"mode", "output_dir"}
 _FLOAT_KEYS = {
     "crossover_fraction",
@@ -126,7 +142,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, value_text = line.partition("=")
         key = key.strip()
         value_text = value_text.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"line {line_number}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_number}: duplicate key {key!r}")
@@ -135,47 +151,7 @@ def parse_config(text: str) -> RunConfig:
         values[key] = _convert(key, value_text, line_number)
     if "rng_seed" not in values:
         raise ConfigError("missing required key 'rng_seed'")
-    config = RunConfig(**values)
-    validate_run_config(config)
-    return config
-
-
-def validate_run_config(config: RunConfig) -> None:
-    """Reject configs that violate an invariant; messages name key and rule."""
-    if not 0 <= config.rng_seed < 2**64:
-        raise ConfigError("rng_seed must be a 64-bit unsigned integer")
-    if config.mode not in MODES:
-        raise ConfigError(
-            f"mode must be one of {', '.join(MODES)}; got {config.mode!r}"
-        )
-    if config.generations < 0:
-        raise ConfigError("generations must be >= 0")
-    for name in ("crossover_fraction", "mutation_fraction"):
-        value = getattr(config, name)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-    if config.parsimony_coefficient < 0.0:
-        raise ConfigError("parsimony_coefficient must be >= 0")
-    if config.pool_size < 2:
-        raise ConfigError(
-            "pool_size must be at least 2: site entropies need an alphabet of two"
-        )
-    if config.attributes_per_agent < 1:
-        raise ConfigError("attributes_per_agent must be >= 1")
-    if config.request_length < 1:
-        raise ConfigError("request_length must be >= 1")
-    if config.attribute_min > config.attribute_max:
-        raise ConfigError(
-            "attribute_min must not exceed attribute_max "
-            f"({config.attribute_min} > {config.attribute_max})"
-        )
-    if config.population_floor < config.pool_size:
-        raise ConfigError(
-            f"population_floor {config.population_floor} is below pool_size "
-            f"{config.pool_size}; length-1 sites would be unmeasurable"
-        )
-    if config.snapshot_every < 0:
-        raise ConfigError("snapshot_every must be >= 0")
+    return RunConfig(**values)
 
 
 def generate_alphabet(
@@ -269,14 +245,11 @@ def write_stats_csv(stats: list[GenerationStats], path) -> None:
     Path(path).write_text(format_stats_csv(stats), encoding="ascii", newline="\n")
 
 
-def format_snapshot(snapshot: SnapshotFile) -> str:
+def format_snapshot(rows: Sequence[Sequence[int]]) -> str:
     """Plain-text snapshot: one member per line, space-separated agent ids."""
-    if not snapshot.rows:
+    if not rows:
         raise ValueError("snapshot has no rows")
-    return (
-        "\n".join(" ".join(str(symbol) for symbol in row) for row in snapshot.rows)
-        + "\n"
-    )
+    return "\n".join(" ".join(str(symbol) for symbol in row) for row in rows) + "\n"
 
 
 def palette_color(symbol: int, alphabet_size: int) -> tuple[int, int, int]:
@@ -292,17 +265,17 @@ def palette_color(symbol: int, alphabet_size: int) -> tuple[int, int, int]:
     return round(red * 255), round(green * 255), round(blue * 255)
 
 
-def render_snapshot(snapshot: SnapshotFile, alphabet_size: int) -> str:
+def render_snapshot(rows: Sequence[Sequence[int]], alphabet_size: int) -> str:
     """Render one snapshot as a plain-text (P3) portable pixmap.
 
     One pixel row per member, one pixel per site, left aligned; rows
     shorter than the longest member are padded with white pixels.
     """
-    if not snapshot.rows:
+    if not rows:
         raise ValueError("snapshot has no rows")
-    width = max(len(row) for row in snapshot.rows)
-    lines = ["P3", f"{width} {len(snapshot.rows)}", "255"]
-    for row in snapshot.rows:
+    width = max(len(row) for row in rows)
+    lines = ["P3", f"{width} {len(rows)}", "255"]
+    for row in rows:
         pixels = [palette_color(symbol, alphabet_size) for symbol in row]
         pixels.extend([WHITE] * (width - len(row)))
         lines.append(" ".join(f"{r} {g} {b}" for r, g, b in pixels))
@@ -367,7 +340,6 @@ def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
     final max fitness and efficiency.  `out_dir` overrides
     config.output_dir when given.  Returns the stats rows.
     """
-    validate_run_config(config)
     evolution_config = build_evolution_config(config)
     stats, _, snapshots = run(evolution_config, snapshot_every=config.snapshot_every)
 
@@ -375,15 +347,12 @@ def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
     directory.mkdir(parents=True, exist_ok=True)
     write_stats_csv(stats, directory / "stats.csv")
     for generation, population in snapshots:
-        snapshot = SnapshotFile(
-            generation=generation,
-            rows=tuple(tuple(member.symbols) for member in population.members),
-        )
+        rows = [member.symbols for member in population.members]
         (directory / f"snap_{generation}.txt").write_text(
-            format_snapshot(snapshot), encoding="ascii", newline="\n"
+            format_snapshot(rows), encoding="ascii", newline="\n"
         )
         (directory / f"snap_{generation}.ppm").write_text(
-            render_snapshot(snapshot, evolution_config.alphabet.size),
+            render_snapshot(rows, evolution_config.alphabet.size),
             encoding="ascii",
             newline="\n",
         )

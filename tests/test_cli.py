@@ -44,6 +44,25 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parsimony_is_a_config_error(self, tmp_path, capsys, value):
+        text = GOOD_CONFIG + f"parsimony_coefficient = {value}\n"
+        config = write(tmp_path, "bad.cfg", text)
+        out_dir = tmp_path / "results"
+        code = main(["run", "--config", str(config), "--output-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "parsimony_coefficient" in err
+        assert not out_dir.exists()
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"rng_seed = 1\n# caf\xe9\n")
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_unknown_key_is_a_config_error(self, tmp_path, capsys):
         config = write(tmp_path, "bad.cfg", "rng_seed = 1\nspeed = 11\n")
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
@@ -87,6 +106,14 @@ class TestAnalyzeCommand:
         population = write(tmp_path, "pop.txt", "0 1\n")
         code = main(["analyze", "--population", str(population)])
         assert code == EXIT_CONFIG
+
+    def test_non_ascii_population_file_is_a_config_error(self, tmp_path, capsys):
+        population = tmp_path / "pop.txt"
+        population.write_bytes("alphabet_size=2\n0 1 \u00e9\n".encode("utf-8"))
+        code = main(["analyze", "--population", str(population)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 class TestUsageErrors:

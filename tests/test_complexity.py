@@ -5,13 +5,11 @@ import pytest
 import oracle
 from conftest import make_alphabet, make_population
 from evotropy import (
-    ComplexityReport,
     SiteDistribution,
     UnmeasurablePopulationError,
     calculable_length,
     efficiency,
     per_site_entropy,
-    physical_complexity_fixed,
     physical_complexity_variable,
     sample_size,
     site_distribution,
@@ -19,6 +17,8 @@ from evotropy import (
 
 # entropy of a 3:1 split in base 2, frozen from a 40-digit computation
 H_3_TO_1_BASE2 = 0.8112781244591328
+# entropy of a 2:1 split in base 2, log2(3) - 2/3 to 19 digits
+H_2_TO_1_BASE2 = 0.9182958340544895
 
 
 def mixed_length_population(alphabet3):
@@ -149,30 +149,23 @@ class TestCalculableLength:
 
 
 class TestPhysicalComplexityFixed:
+    """Equal-length populations large enough to measure every site: the
+    calculable-length measure reduces to length minus summed entropies."""
+
     def test_unanimous_population(self, alphabet2):
         population = make_population(alphabet2, [[0, 1, 0, 1]] * 8)
-        assert physical_complexity_fixed(population) == 4.0
+        assert physical_complexity_variable(population).complexity == 4.0
 
     def test_fully_random_population(self, alphabet2):
         population = make_population(alphabet2, [[0, 0], [0, 1], [1, 0], [1, 1]])
-        assert physical_complexity_fixed(population) == 0.0
+        assert physical_complexity_variable(population).complexity == 0.0
 
     def test_three_to_one_site(self, alphabet2):
         population = make_population(alphabet2, [[0, 0], [0, 0], [0, 0], [0, 1]])
         expected = 2.0 - H_3_TO_1_BASE2
-        assert physical_complexity_fixed(population) == pytest.approx(
+        assert physical_complexity_variable(population).complexity == pytest.approx(
             expected, abs=1e-9
         )
-
-    def test_rejects_mixed_lengths(self, alphabet2):
-        population = make_population(alphabet2, [[0, 1], [0]])
-        with pytest.raises(ValueError):
-            physical_complexity_fixed(population)
-
-    def test_warns_when_undersized(self, alphabet2):
-        population = make_population(alphabet2, [[0, 1, 0], [1, 1, 0]])
-        with pytest.warns(UserWarning):
-            physical_complexity_fixed(population)
 
 
 class TestPhysicalComplexityVariable:
@@ -219,9 +212,8 @@ class TestPhysicalComplexityVariable:
         population = make_population(alphabet2, rows)
         report = physical_complexity_variable(population)
         assert report.calculable_length == 2
-        assert report.complexity == pytest.approx(
-            physical_complexity_fixed(population), abs=1e-12
-        )
+        # both sites split 4:2
+        assert report.complexity == pytest.approx(2.0 - 2 * H_2_TO_1_BASE2, abs=1e-12)
 
 
 class TestEfficiency:
@@ -240,23 +232,6 @@ class TestEfficiency:
         ]
         population = make_population(alphabet2, rows)
         assert efficiency(population) == pytest.approx(0.25, abs=1e-12)
-
-    def test_accepts_a_report(self, alphabet2):
-        population = make_population(alphabet2, [[0, 1]] * 4)
-        report = physical_complexity_variable(population)
-        assert efficiency(report) == report.efficiency
-
-    def test_rejects_report_without_measured_sites(self):
-        report = ComplexityReport(
-            calculable_length=0,
-            per_site_entropy=(),
-            complexity=0.0,
-            complexity_potential=0.0,
-            efficiency=0.0,
-            max_length=3,
-        )
-        with pytest.raises(UnmeasurablePopulationError):
-            efficiency(report)
 
     def test_propagates_unmeasurable_population(self, alphabet3):
         population = make_population(alphabet3, [[0], [1]])

@@ -10,7 +10,6 @@ from evotropy import (
     UnmeasurablePopulationError,
     calculable_length,
     per_site_entropy,
-    physical_complexity_fixed,
     physical_complexity_variable,
     sample_size,
     site_distribution,
@@ -169,11 +168,12 @@ class TestComplexityReport:
             report = physical_complexity_variable(population)
         except UnmeasurablePopulationError:
             return
-        if report.calculable_length != population.max_length:
+        length = population.max_length
+        if report.calculable_length != length:
             return
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fixed = physical_complexity_fixed(population)
+        # fixed-length formula: every site measured, length minus entropies
+        fixed = length - sum(
+            oracle.entropy(oracle.site_counts(rows, site), alphabet_size)
+            for site in range(1, length + 1)
+        )
         assert report.complexity == pytest.approx(max(0.0, fixed), abs=1e-12)

@@ -1,8 +1,6 @@
 import dataclasses
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import make_alphabet, make_population
 from evotropy import (
@@ -11,8 +9,6 @@ from evotropy import (
     Alphabet,
     Population,
     UserRequest,
-    genotype_space_size,
-    min_population_size,
 )
 
 
@@ -94,38 +90,3 @@ class TestUserRequest:
     def test_holds_values(self):
         assert UserRequest((4, 4, 2)).required == (4, 4, 2)
 
-
-class TestGenotypeSpaceSize:
-    def test_known_values(self):
-        assert genotype_space_size(4, 1) == 4
-        assert genotype_space_size(4, 3) == 64
-        assert genotype_space_size(2, 10) == 1024
-
-    def test_arbitrary_precision(self):
-        # 3^200 does not fit in 64 bits; must stay exact
-        assert genotype_space_size(3, 200) == 3**200
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            genotype_space_size(1, 3)
-        with pytest.raises(ValueError):
-            genotype_space_size(4, 0)
-
-    @given(st.integers(2, 12), st.integers(1, 40))
-    def test_multiplicative_recurrence(self, alphabet_size, length):
-        assert genotype_space_size(alphabet_size, length + 1) == (
-            alphabet_size * genotype_space_size(alphabet_size, length)
-        )
-
-
-class TestMinPopulationSize:
-    def test_known_values(self):
-        assert min_population_size(4, 25) == 100
-        assert min_population_size(2, 1) == 2
-        assert min_population_size(3, 5) == 15
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            min_population_size(0, 3)
-        with pytest.raises(ValueError):
-            min_population_size(2, -1)

@@ -346,6 +346,11 @@ class TestConfigAndState:
         with pytest.raises(ValueError):
             self.config(parsimony_coefficient=-1.0)
 
+    @pytest.mark.parametrize("coefficient", [float("nan"), float("inf")])
+    def test_rejects_non_finite_parsimony(self, coefficient):
+        with pytest.raises(ValueError, match="parsimony_coefficient"):
+            self.config(parsimony_coefficient=coefficient)
+
     def test_rejects_floor_below_alphabet_size(self):
         with pytest.raises(ValueError):
             self.config(population_floor=1)

@@ -7,7 +7,6 @@ from evotropy import (
     ConfigError,
     GenerationStats,
     RunConfig,
-    SnapshotFile,
     build_evolution_config,
     format_snapshot,
     format_stats_csv,
@@ -18,7 +17,6 @@ from evotropy import (
     read_population_file,
     render_snapshot,
     run_experiment,
-    validate_run_config,
     write_stats_csv,
 )
 
@@ -127,7 +125,7 @@ class TestValidation:
         return RunConfig(**values)
 
     def test_valid_config_passes(self):
-        validate_run_config(self.base())
+        assert self.base().rng_seed == 1
 
     @pytest.mark.parametrize(
         "overrides,fragment",
@@ -145,11 +143,13 @@ class TestValidation:
             (dict(attribute_min=5, attribute_max=4), "attribute_min"),
             (dict(population_floor=5), "population_floor"),
             (dict(snapshot_every=-2), "snapshot_every"),
+            (dict(parsimony_coefficient=float("nan")), "parsimony_coefficient"),
+            (dict(parsimony_coefficient=float("inf")), "parsimony_coefficient"),
         ],
     )
     def test_each_rule_names_its_key(self, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
-            validate_run_config(self.base(**overrides))
+            self.base(**overrides)
 
 
 class TestGeneration:
@@ -287,12 +287,11 @@ class TestStatsCsv:
 
 class TestSnapshotText:
     def test_one_member_per_line(self):
-        snapshot = SnapshotFile(generation=3, rows=((0, 1, 2), (2,)))
-        assert format_snapshot(snapshot) == "0 1 2\n2\n"
+        assert format_snapshot(((0, 1, 2), (2,))) == "0 1 2\n2\n"
 
     def test_empty_snapshot_is_rejected(self):
         with pytest.raises(ValueError):
-            format_snapshot(SnapshotFile(generation=0, rows=()))
+            format_snapshot(())
 
 
 class TestPalette:
@@ -325,8 +324,7 @@ class TestPalette:
 
 class TestRenderSnapshot:
     def test_ragged_rows_are_padded_with_white(self):
-        snapshot = SnapshotFile(generation=0, rows=((0,), (0, 1)))
-        lines = render_snapshot(snapshot, 2).splitlines()
+        lines = render_snapshot(((0,), (0, 1)), 2).splitlines()
         assert lines[0] == "P3"
         assert lines[1] == "2 2"
         assert lines[2] == "255"
@@ -336,17 +334,14 @@ class TestRenderSnapshot:
         assert lines[4] == f"{color0} {color1}"
 
     def test_dimensions_match_the_widest_member(self):
-        snapshot = SnapshotFile(
-            generation=0, rows=((0, 1, 0, 1, 1), (1,), (0, 0))
-        )
-        lines = render_snapshot(snapshot, 2).splitlines()
+        lines = render_snapshot(((0, 1, 0, 1, 1), (1,), (0, 0)), 2).splitlines()
         assert lines[1] == "5 3"
         for line in lines[3:]:
             assert len(line.split()) == 15  # 5 pixels * 3 channels
 
     def test_empty_snapshot_is_rejected(self):
         with pytest.raises(ValueError):
-            render_snapshot(SnapshotFile(generation=0, rows=()), 2)
+            render_snapshot((), 2)
 
 
 class TestReadPopulationFile:
@@ -455,7 +450,7 @@ class TestRunExperiment:
         assert disc != flat
 
     def test_invalid_config_is_rejected_before_any_output(self, tmp_path):
-        bad = small_config(population_floor=2)  # below pool_size
         with pytest.raises(ConfigError):
+            bad = small_config(population_floor=2)  # below pool_size
             run_experiment(bad, out_dir=tmp_path / "x")
         assert not (tmp_path / "x").exists()
