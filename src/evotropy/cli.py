@@ -3,7 +3,7 @@
 Two subcommands: `run` executes an experiment described by a config
 file, `analyze` measures a population file.  Exit codes: 0 success,
 1 configuration problem, 2 runtime failure such as an unmeasurable
-population, 3 I/O failure.
+population or an unexpected internal error, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -118,9 +118,13 @@ def _cmd_analyze(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_analyze(args)
+    command = _cmd_run if args.command == "run" else _cmd_analyze
+    try:
+        return command(args)
+    except Exception as error:
+        # a defect, not bad input: one line instead of a traceback
+        print(f"internal error: {type(error).__name__}: {error}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

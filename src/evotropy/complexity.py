@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import Population
 
@@ -140,6 +141,35 @@ def per_site_entropy(distribution: SiteDistribution, alphabet_size: int) -> floa
     return min(1.0, max(0.0, entropy))
 
 
+def _rows_and_reach(population: Population) -> tuple[list, list[int]]:
+    """Member symbol tuples, longest first, and the sample size of every site.
+
+    reach[site] counts the members long enough to reach `site` (1-based;
+    reach[0] is unused).  Because the rows are sorted by length, the
+    members reaching a site are exactly rows[:reach[site]].
+    """
+    rows = sorted(
+        (member.symbols for member in population.members), key=len, reverse=True
+    )
+    histogram = Counter(map(len, rows))
+    reach = [0] * (len(rows[0]) + 1)
+    running = 0
+    for site in range(len(reach) - 1, 0, -1):
+        running += histogram[site]
+        reach[site] = running
+    return rows, reach
+
+
+def _measurable_prefix(reach: list[int], alphabet_size: int) -> int:
+    """The calculable length read off the per-site sample sizes."""
+    best = 0
+    for site in range(1, len(reach)):
+        if reach[site] < alphabet_size * site:
+            break
+        best = site
+    return best
+
+
 def calculable_length(population: Population) -> int:
     """Longest site prefix with enough samples to measure, 0 if none.
 
@@ -149,14 +179,8 @@ def calculable_length(population: Population) -> int:
     """
     if len(population) == 0:
         raise ValueError("calculable length of an empty population is undefined")
-    alphabet_size = population.alphabet.size
-    best = 0
-    for site in range(1, population.max_length + 1):
-        if sample_size(population, site) >= alphabet_size * site:
-            best = site
-        else:
-            break
-    return best
+    _, reach = _rows_and_reach(population)
+    return _measurable_prefix(reach, population.alphabet.size)
 
 
 def physical_complexity_variable(population: Population) -> ComplexityReport:
@@ -167,20 +191,24 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
     """
     if len(population) == 0:
         raise ValueError("complexity of an empty population is undefined")
-    measured = calculable_length(population)
-    if measured == 0:
-        table = {
-            site: sample_size(population, site)
-            for site in range(1, population.max_length + 1)
-        }
-        raise UnmeasurablePopulationError(
-            f"no site has sample size >= {population.alphabet.size} * site; "
-            "population is too small to measure",
-            table,
-        )
     alphabet_size = population.alphabet.size
+    rows, reach = _rows_and_reach(population)
+    measured = _measurable_prefix(reach, alphabet_size)
+    if measured == 0:
+        raise UnmeasurablePopulationError(
+            f"no site has sample size >= {alphabet_size} * site; "
+            "population is too small to measure",
+            {site: reach[site] for site in range(1, len(reach))},
+        )
     entropies = tuple(
-        per_site_entropy(site_distribution(population, site), alphabet_size)
+        per_site_entropy(
+            SiteDistribution(
+                site=site,
+                counts=dict(Counter(map(itemgetter(site - 1), rows[: reach[site]]))),
+                sample_size=reach[site],
+            ),
+            alphabet_size,
+        )
         for site in range(1, measured + 1)
     )
     potential = float(measured)
@@ -191,7 +219,7 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
         complexity=complexity,
         complexity_potential=potential,
         efficiency=complexity / potential,
-        max_length=population.max_length,
+        max_length=len(rows[0]),
     )
 
 

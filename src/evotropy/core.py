@@ -10,6 +10,7 @@ and compared structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -97,13 +98,20 @@ class Population:
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
         size = self.alphabet.size
-        for member in self.members:
-            for symbol in member.symbols:
-                if not 0 <= symbol < size:
-                    raise ValueError(
-                        f"symbol {symbol} is not a valid agent id for an "
-                        f"alphabet of size {size}"
-                    )
+        # one C-speed pass collects the distinct symbols; only a failing
+        # population is walked, so the message names the first bad symbol
+        distinct = set(chain.from_iterable(member.symbols for member in self.members))
+        if distinct and (min(distinct) < 0 or max(distinct) >= size):
+            bad = next(
+                symbol
+                for member in self.members
+                for symbol in member.symbols
+                if not 0 <= symbol < size
+            )
+            raise ValueError(
+                f"symbol {bad} is not a valid agent id for an "
+                f"alphabet of size {size}"
+            )
 
     @classmethod
     def from_rows(

@@ -170,6 +170,41 @@ class GenerationStats:
             raise ValueError("population_size must be >= 1")
 
 
+def _gap_table(request: UserRequest, alphabet: Alphabet) -> list[list[int]]:
+    """gap[a][j]: distance from request value j to agent a's closest attribute."""
+    return [
+        [
+            min(abs(wanted - value) for value in agent.attributes)
+            for wanted in request.required
+        ]
+        for agent in alphabet.agents
+    ]
+
+
+def _score(symbols: tuple[int, ...], gaps: list[list[int]]) -> float:
+    """Fitness of a symbol run, read from a gap table.
+
+    The closest pooled value to each request value is the closest value
+    of the best agent, so only the set of distinct agents matters.  The
+    gaps stay integers until the final division, so the score is exact.
+    """
+    rows = [gaps[agent] for agent in set(symbols)]
+    # column minima; the first row is passed twice so min always gets two values
+    return 1.0 / (1.0 + sum(map(min, rows[0], *rows)))
+
+
+def _scores(
+    members: Sequence[AgentSequence], request: UserRequest, alphabet: Alphabet
+) -> list[float]:
+    """Fitness of every member, each distinct symbol run scored once."""
+    gaps = _gap_table(request, alphabet)
+    rows = [member.symbols for member in members]
+    scores = dict.fromkeys(rows)
+    for symbols in scores:
+        scores[symbols] = _score(symbols, gaps)
+    return list(map(scores.__getitem__, rows))
+
+
 def fitness(
     individual: AgentSequence, request: UserRequest, alphabet: Alphabet
 ) -> float:
@@ -181,15 +216,7 @@ def fitness(
     1 / (1 + total gap), so exact coverage scores 1.0 and the score is
     always positive.
     """
-    pool = [
-        value
-        for symbol in individual.symbols
-        for value in alphabet.agents[symbol].attributes
-    ]
-    total_gap = 0
-    for wanted in request.required:
-        total_gap += min(abs(wanted - value) for value in pool)
-    return 1.0 / (1.0 + total_gap)
+    return _score(individual.symbols, _gap_table(request, alphabet))
 
 
 def parsimony_adjusted_fitness(
@@ -325,7 +352,7 @@ def _stats_for(
         generation=generation,
         max_fitness=max(raw_fitness),
         mean_fitness=fmean(raw_fitness),
-        mean_length=fmean(len(member) for member in population.members),
+        mean_length=fmean([len(member.symbols) for member in population.members]),
         population_size=len(population),
         calculable_length=measured,
         complexity=complexity,
@@ -352,13 +379,14 @@ def step_generation(
     members = state.population.members
     alphabet = config.alphabet
 
-    raw = [fitness(member, config.request, alphabet) for member in members]
-    mean_length = fmean(len(member) for member in members)
+    raw = _scores(members, config.request, alphabet)
+    lengths = [len(member.symbols) for member in members]
+    mean_length = fmean(lengths)
     adjusted = [
         parsimony_adjusted_fitness(
-            score, len(member), mean_length, config.parsimony_coefficient
+            score, length, mean_length, config.parsimony_coefficient
         )
-        for score, member in zip(raw, members)
+        for score, length in zip(raw, lengths)
     ]
     # the nondiscriminating baseline feeds flat weights to the same roulette
     weights = adjusted if config.discriminating else [1.0] * len(members)
@@ -417,7 +445,7 @@ def run(
     population = Population(tuple(members), config.alphabet)
     state = EvolutionState(0, population, rng.getstate())
 
-    raw = [fitness(member, config.request, config.alphabet) for member in members]
+    raw = _scores(members, config.request, config.alphabet)
     stats = [_stats_for(0, raw, population)]
 
     def wants_snapshot(generation: int) -> bool:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from evotropy import __version__
+from evotropy import __version__, cli
 from evotropy.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 
 GOOD_CONFIG = """\
@@ -137,6 +137,39 @@ class TestUsageErrors:
             main(["--version"])
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+def _raise(error):
+    def broken(*args, **kwargs):
+        raise error
+
+    return broken
+
+
+class TestInternalErrors:
+    def test_run_defect_is_one_line_and_runtime_code(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "run_experiment", _raise(RuntimeError("boom")))
+        config = write(tmp_path, "run.cfg", GOOD_CONFIG)
+        assert main(["run", "--config", str(config)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    def test_analyze_defect_is_one_line_and_runtime_code(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            cli, "physical_complexity_variable", _raise(RuntimeError("boom"))
+        )
+        population = write(tmp_path, "pop.txt", "alphabet_size=2\n0 1\n0 1\n")
+        assert main(["analyze", "--population", str(population)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    def test_interrupt_is_not_swallowed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", _raise(KeyboardInterrupt()))
+        config = write(tmp_path, "run.cfg", GOOD_CONFIG)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(config)])
 
 
 class TestInstalledEntryPoint:

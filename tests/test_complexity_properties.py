@@ -177,3 +177,28 @@ class TestComplexityReport:
             for site in range(1, length + 1)
         )
         assert report.complexity == pytest.approx(max(0.0, fixed), abs=1e-12)
+
+    @settings(max_examples=200)
+    @given(populations(max_size=40))
+    def test_one_pass_equals_the_per_site_api_exactly(self, pop):
+        alphabet_size, rows = pop
+        population = build(alphabet_size, rows)
+        sites = range(1, population.max_length + 1)
+        sizes = {site: sample_size(population, site) for site in sites}
+        measured = 0
+        for site in sites:
+            if sizes[site] < alphabet_size * site:
+                break
+            measured = site
+        assert calculable_length(population) == measured
+        if measured == 0:
+            with pytest.raises(UnmeasurablePopulationError) as excinfo:
+                physical_complexity_variable(population)
+            assert excinfo.value.sample_sizes == sizes
+            return
+        report = physical_complexity_variable(population)
+        assert report.per_site_entropy == tuple(
+            per_site_entropy(site_distribution(population, site), alphabet_size)
+            for site in range(1, measured + 1)
+        )
+        assert report.max_length == population.max_length

@@ -73,6 +73,11 @@ class TestPopulation:
         with pytest.raises(ValueError):
             make_population(alphabet2, [[-1]])
 
+    def test_error_names_first_bad_symbol_in_member_order(self, alphabet2):
+        # the first bad member holds both a too-large and a negative symbol
+        with pytest.raises(ValueError, match=r"^symbol 5 is not a valid agent id"):
+            make_population(alphabet2, [[0, 1], [1, 5, -1], [-3]])
+
     def test_empty_population_is_allowed(self, alphabet2):
         assert len(Population((), alphabet2)) == 0
         assert Population((), alphabet2).max_length == 0

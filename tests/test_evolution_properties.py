@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from statistics import fmean
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ import oracle
 from conftest import make_alphabet, make_population
 from evotropy import (
     AgentSequence,
+    EvolutionConfig,
     UserRequest,
     crossover_pair,
     fitness,
@@ -17,6 +19,7 @@ from evotropy import (
     parsimony_adjusted_fitness,
     rand_below,
     rand_int,
+    run,
     sample_indices,
     select,
     target_population_size,
@@ -107,6 +110,63 @@ class TestSelectionInvariants:
         assert len(chosen) == target
         allowed = {tuple(row) for row in rows}
         assert all(member.symbols in allowed for member in chosen.members)
+
+
+def pooled_fitness(individual, request, alphabet):
+    """The pooled-attribute formula, scanning every pooled value per request value."""
+    pool = [
+        value
+        for symbol in individual.symbols
+        for value in alphabet.agents[symbol].attributes
+    ]
+    total_gap = 0
+    for wanted in request.required:
+        total_gap += min(abs(wanted - value) for value in pool)
+    return 1.0 / (1.0 + total_gap)
+
+
+values = st.integers(min_value=-20, max_value=20)
+
+
+@st.composite
+def worlds(draw):
+    pools = draw(
+        st.lists(st.lists(values, min_size=1, max_size=4), min_size=2, max_size=8)
+    )
+    alphabet = make_alphabet(len(pools), [tuple(pool) for pool in pools])
+    request = UserRequest(tuple(draw(st.lists(values, min_size=1, max_size=8))))
+    return alphabet, request
+
+
+class TestFitnessMatchesPooledFormula:
+    @given(worlds(), st.data())
+    def test_equal_for_any_individual(self, world, data):
+        alphabet, request = world
+        symbols = st.integers(min_value=0, max_value=alphabet.size - 1)
+        individual = AgentSequence(
+            tuple(data.draw(st.lists(symbols, min_size=1, max_size=10)))
+        )
+        assert fitness(individual, request, alphabet) == pooled_fitness(
+            individual, request, alphabet
+        )
+
+    @given(worlds(), seeds)
+    def test_equal_over_a_seeded_population(self, world, seed):
+        alphabet, request = world
+        config = EvolutionConfig(
+            request=request,
+            alphabet=alphabet,
+            rng_seed=seed,
+            population_floor=alphabet.size * 4,
+            generations=0,
+        )
+        stats, state, _ = run(config)
+        expected = [
+            pooled_fitness(member, request, alphabet)
+            for member in state.population.members
+        ]
+        assert stats[0].max_fitness == max(expected)
+        assert stats[0].mean_fitness == fmean(expected)
 
 
 class TestFitnessInvariants:
