@@ -66,45 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as handle:
-            config = parse_config(handle.read())
-    except OSError as error:
-        print(f"i/o error: cannot read {args.config}: {error}", file=sys.stderr)
-        return EXIT_IO
-    except (ConfigError, UnicodeDecodeError) as error:
-        print(f"config error: {error}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        run_experiment(config, out_dir=args.output_dir)
-    except UnmeasurablePopulationError as error:
-        print(f"runtime error: {error}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as error:
-        print(f"i/o error: {error}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.config, encoding="utf-8") as handle:
+        config = parse_config(handle.read())
+    run_experiment(config, out_dir=args.output_dir)
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        population = read_population_file(args.population)
-    except OSError as error:
-        print(f"i/o error: cannot read {args.population}: {error}", file=sys.stderr)
-        return EXIT_IO
-    except (ConfigError, UnicodeDecodeError) as error:
-        print(f"config error: {error}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = physical_complexity_variable(population)
-    except UnmeasurablePopulationError as error:
-        print(f"unmeasurable population: {error}", file=sys.stderr)
-        for site in sorted(error.sample_sizes):
-            print(
-                f"  site {site}: sample size {error.sample_sizes[site]}",
-                file=sys.stderr,
-            )
-        return EXIT_RUNTIME
+    population = read_population_file(args.population)
+    report = physical_complexity_variable(population)
     print(f"members: {len(population)}")
     print(f"alphabet_size: {population.alphabet.size}")
     print(f"max_length: {report.max_length}")
@@ -121,6 +91,20 @@ def main(argv=None) -> int:
     command = _cmd_run if args.command == "run" else _cmd_analyze
     try:
         return command(args)
+    except OSError as error:
+        print(f"i/o error: {error}", file=sys.stderr)
+        return EXIT_IO
+    except (ConfigError, UnicodeDecodeError) as error:
+        print(f"config error: {error}", file=sys.stderr)
+        return EXIT_CONFIG
+    except UnmeasurablePopulationError as error:
+        print(f"unmeasurable population: {error}", file=sys.stderr)
+        for site in sorted(error.sample_sizes):
+            print(
+                f"  site {site}: sample size {error.sample_sizes[site]}",
+                file=sys.stderr,
+            )
+        return EXIT_RUNTIME
     except Exception as error:
         # a defect, not bad input: one line instead of a traceback
         print(f"internal error: {type(error).__name__}: {error}", file=sys.stderr)

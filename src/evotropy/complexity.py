@@ -22,36 +22,13 @@ from operator import itemgetter
 from .core import Population
 
 __all__ = [
-    "SiteDistribution",
     "ComplexityReport",
     "UnmeasurablePopulationError",
-    "sample_size",
-    "site_distribution",
     "per_site_entropy",
     "calculable_length",
     "physical_complexity_variable",
     "efficiency",
 ]
-
-
-@dataclass(frozen=True)
-class SiteDistribution:
-    """Symbol counts at one site, over the sequences that reach it."""
-
-    site: int
-    counts: dict
-    sample_size: int
-
-    def __post_init__(self) -> None:
-        if self.site < 1:
-            raise ValueError(f"site index must be >= 1, got {self.site}")
-        if any(count < 0 for count in self.counts.values()):
-            raise ValueError("symbol counts must be non-negative")
-        total = sum(self.counts.values())
-        if total != self.sample_size:
-            raise ValueError(
-                f"counts sum to {total} but sample_size is {self.sample_size}"
-            )
 
 
 @dataclass(frozen=True)
@@ -78,36 +55,10 @@ class UnmeasurablePopulationError(ValueError):
         self.sample_sizes = dict(sample_sizes)
 
 
-def sample_size(population: Population, site: int) -> int:
-    """Number of members long enough to have a symbol at `site` (1-based)."""
-    if site < 1:
-        raise ValueError(f"site index must be >= 1, got {site}")
-    return sum(1 for member in population.members if len(member) >= site)
+def per_site_entropy(counts: dict[int, int], alphabet_size: int) -> float:
+    """Shannon entropy of one site's symbol counts, in units of base alphabet_size.
 
-
-def site_distribution(population: Population, site: int) -> SiteDistribution:
-    """Tally the symbols appearing at `site` across the population.
-
-    Only members long enough to reach the site are counted, so the
-    distribution always normalises over its own sample size.
-    """
-    if site < 1 or site > population.max_length:
-        raise ValueError(
-            f"site {site} out of range 1..{population.max_length}"
-        )
-    counts = Counter(
-        member.symbols[site - 1]
-        for member in population.members
-        if len(member) >= site
-    )
-    return SiteDistribution(
-        site=site, counts=dict(counts), sample_size=sum(counts.values())
-    )
-
-
-def per_site_entropy(distribution: SiteDistribution, alphabet_size: int) -> float:
-    """Shannon entropy of one site, in units of base alphabet_size.
-
+    `counts` maps each symbol to how many members carry it at the site.
     Zero-probability symbols contribute nothing (0 log 0 = 0).  A
     unanimous site is exactly 0.0 and counts spread uniformly over the
     whole alphabet are exactly 1.0; everything else lands strictly
@@ -115,13 +66,15 @@ def per_site_entropy(distribution: SiteDistribution, alphabet_size: int) -> floa
     """
     if alphabet_size < 2:
         raise ValueError(f"alphabet_size must be >= 2, got {alphabet_size}")
-    if distribution.sample_size < 1:
-        raise ValueError("entropy is undefined for an empty site (sample size 0)")
+    if any(count < 0 for count in counts.values()):
+        raise ValueError("symbol counts must be non-negative")
     occupied = {
         symbol: count
-        for symbol, count in distribution.counts.items()
+        for symbol, count in counts.items()
         if count > 0
     }
+    if not occupied:
+        raise ValueError("entropy is undefined for an empty site (sample size 0)")
     if len(occupied) > alphabet_size:
         raise ValueError(
             f"{len(occupied)} distinct symbols cannot come from an "
@@ -132,7 +85,7 @@ def per_site_entropy(distribution: SiteDistribution, alphabet_size: int) -> floa
     if len(occupied) == alphabet_size and len(set(occupied.values())) == 1:
         return 1.0
     log_base = math.log(alphabet_size)
-    total = distribution.sample_size
+    total = sum(occupied.values())
     entropy = 0.0
     # sorted symbol order keeps the summation independent of member order
     for symbol in sorted(occupied):
@@ -202,12 +155,7 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
         )
     entropies = tuple(
         per_site_entropy(
-            SiteDistribution(
-                site=site,
-                counts=dict(Counter(map(itemgetter(site - 1), rows[: reach[site]]))),
-                sample_size=reach[site],
-            ),
-            alphabet_size,
+            Counter(map(itemgetter(site - 1), rows[: reach[site]])), alphabet_size
         )
         for site in range(1, measured + 1)
     )

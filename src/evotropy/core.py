@@ -123,11 +123,6 @@ class Population:
     def __len__(self) -> int:
         return len(self.members)
 
-    @property
-    def max_length(self) -> int:
-        """Length of the longest member; 0 for an empty population."""
-        return max((len(member) for member in self.members), default=0)
-
 
 @dataclass(frozen=True)
 class UserRequest:

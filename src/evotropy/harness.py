@@ -9,6 +9,7 @@ experiment: two executions produce byte-identical output files.
 from __future__ import annotations
 
 import colorsys
+import os
 import random
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -239,10 +240,21 @@ def format_stats_csv(stats: list[GenerationStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through `<name>.tmp` and os.replace, so no file is half-written."""
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        temp.write_text(text, encoding="ascii", newline="\n")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_stats_csv(stats: list[GenerationStats], path) -> None:
     if not stats:
         raise ValueError("stats must contain at least one row")
-    Path(path).write_text(format_stats_csv(stats), encoding="ascii", newline="\n")
+    _write_atomic(Path(path), format_stats_csv(stats))
 
 
 def format_snapshot(rows: Sequence[Sequence[int]]) -> str:
@@ -336,9 +348,9 @@ def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
     """Run one experiment and write its artifacts under the output directory.
 
     Writes stats.csv always and snap_<generation>.txt plus
-    snap_<generation>.ppm at the configured cadence, then prints the
-    final max fitness and efficiency.  `out_dir` overrides
-    config.output_dir when given.  Returns the stats rows.
+    snap_<generation>.ppm at the configured cadence, each file replaced
+    whole, then prints the final max fitness and efficiency.  `out_dir`
+    overrides config.output_dir when given.  Returns the stats rows.
     """
     evolution_config = build_evolution_config(config)
     stats, _, snapshots = run(evolution_config, snapshot_every=config.snapshot_every)
@@ -348,13 +360,10 @@ def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
     write_stats_csv(stats, directory / "stats.csv")
     for generation, population in snapshots:
         rows = [member.symbols for member in population.members]
-        (directory / f"snap_{generation}.txt").write_text(
-            format_snapshot(rows), encoding="ascii", newline="\n"
-        )
-        (directory / f"snap_{generation}.ppm").write_text(
+        _write_atomic(directory / f"snap_{generation}.txt", format_snapshot(rows))
+        _write_atomic(
+            directory / f"snap_{generation}.ppm",
             render_snapshot(rows, evolution_config.alphabet.size),
-            encoding="ascii",
-            newline="\n",
         )
 
     final = stats[-1]

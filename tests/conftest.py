@@ -1,6 +1,12 @@
 import pytest
 
-from evotropy import Agent, Alphabet, Population
+from evotropy import (
+    Agent,
+    Alphabet,
+    Population,
+    UnmeasurablePopulationError,
+    physical_complexity_variable,
+)
 
 
 def make_alphabet(size, attributes=None):
@@ -12,6 +18,19 @@ def make_alphabet(size, attributes=None):
 
 def make_population(alphabet, rows):
     return Population.from_rows(alphabet, rows)
+
+
+def sample_sizes(rows, alphabet_size=2):
+    """Per-site sample sizes as the measure counts them.
+
+    Sample sizes do not depend on the alphabet, so the rows are measured
+    over one with more agents than there are members: no site clears
+    the threshold and the error carries the size of every site.
+    """
+    alphabet = make_alphabet(max(alphabet_size, len(rows) + 1))
+    with pytest.raises(UnmeasurablePopulationError) as excinfo:
+        physical_complexity_variable(make_population(alphabet, rows))
+    return excinfo.value.sample_sizes
 
 
 @pytest.fixture

@@ -1,7 +1,15 @@
+import contextlib
+import io
+import math
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evotropy import __version__, cli
 from evotropy.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
@@ -67,6 +75,27 @@ class TestRunCommand:
         config = write(tmp_path, "bad.cfg", "rng_seed = 1\nspeed = 11\n")
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
+    def test_failed_write_keeps_existing_artifacts(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out_dir = tmp_path / "results"
+        first = write(tmp_path, "first.cfg", GOOD_CONFIG)
+        assert main(["run", "--config", str(first), "--output-dir", str(out_dir)]) == 0
+        before = (out_dir / "stats.csv").read_bytes()
+        capsys.readouterr()
+
+        def refuse(source, target):
+            raise OSError(f"cannot replace {target}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        second = write(tmp_path, "second.cfg", GOOD_CONFIG.replace("17", "18"))
+        code = main(["run", "--config", str(second), "--output-dir", str(out_dir)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and err.count("\n") == 1
+        assert (out_dir / "stats.csv").read_bytes() == before
+        assert not list(out_dir.glob("*.tmp"))
+
     def test_output_dir_flag_overrides_config(self, tmp_path, capsys):
         text = GOOD_CONFIG + f"output_dir = {tmp_path / 'from_config'}\n"
         config = write(tmp_path, "run.cfg", text)
@@ -114,6 +143,88 @@ class TestAnalyzeCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+
+_FRACTIONS = st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf])
+# size keys have no upper bound, so the fuzz keeps them small
+_VALUES = {
+    "rng_seed": st.integers(-1, 2**64),
+    "mode": st.sampled_from(["discriminating", "nondiscriminating", "magic"]),
+    "generations": st.integers(-1, 3),
+    "crossover_fraction": _FRACTIONS,
+    "mutation_fraction": _FRACTIONS,
+    "parsimony_coefficient": st.floats(),
+    "population_floor": st.integers(-1, 64),
+    "pool_size": st.integers(-1, 8),
+    "attributes_per_agent": st.integers(-1, 3),
+    "request_length": st.integers(-1, 4),
+    "attribute_min": st.integers(-20, 20),
+    "attribute_max": st.integers(-20, 20),
+    "snapshot_every": st.integers(-1, 3),
+}
+# no '#', '=' or line breaks: junk never turns into a (large) valid setting
+_JUNK = st.text(
+    st.characters(
+        blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters="#="
+    ),
+    max_size=12,
+)
+_CONFIG_LINES = st.one_of(
+    st.sampled_from(sorted(_VALUES)).flatmap(
+        lambda key: _VALUES[key].map(lambda value: f"{key} = {value}")
+    ),
+    st.sampled_from(sorted(_VALUES)).flatmap(
+        lambda key: _JUNK.map(lambda junk: f"{key} = {junk}x")
+    ),
+    _JUNK,
+    _JUNK.map(lambda junk: f"# {junk}"),
+)
+_POPULATION_FILES = st.binary(max_size=64) | st.builds(
+    lambda size, rows, tail: (
+        f"alphabet_size={size}\n"
+        + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    ).encode("ascii")
+    + tail,
+    st.integers(-1, 8),
+    st.lists(st.lists(st.integers(-1, 8), max_size=6), max_size=40),
+    st.just(b"") | st.binary(max_size=8),
+)
+
+
+def _fuzz_main(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_IO)
+    assert "Traceback" not in err
+    assert (err == "") == (code == EXIT_OK)
+    return code, err
+
+
+class TestFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_CONFIG_LINES, max_size=10), st.booleans())
+    def test_any_config_text_gives_a_documented_outcome(self, lines, seeded):
+        text = "\n".join((["rng_seed = 7"] if seeded else []) + lines)
+        with tempfile.TemporaryDirectory() as directory:
+            config = Path(directory) / "run.cfg"
+            config.write_text(text, encoding="utf-8")
+            out_dir = Path(directory) / "out"
+            code, err = _fuzz_main(
+                ["run", "--config", str(config), "--output-dir", str(out_dir)]
+            )
+        assert err.count("\n") == (0 if code == EXIT_OK else 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_POPULATION_FILES)
+    def test_any_population_bytes_give_a_documented_outcome(self, data):
+        with tempfile.TemporaryDirectory() as directory:
+            population = Path(directory) / "pop.txt"
+            population.write_bytes(data)
+            code, err = _fuzz_main(["analyze", "--population", str(population)])
+        if not err.startswith("unmeasurable population:"):
+            assert err.count("\n") == (0 if code == EXIT_OK else 1)
 
 
 class TestUsageErrors:

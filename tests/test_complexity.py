@@ -3,16 +3,13 @@ import math
 import pytest
 
 import oracle
-from conftest import make_alphabet, make_population
+from conftest import make_population, sample_sizes
 from evotropy import (
-    SiteDistribution,
     UnmeasurablePopulationError,
     calculable_length,
     efficiency,
     per_site_entropy,
     physical_complexity_variable,
-    sample_size,
-    site_distribution,
 )
 
 # entropy of a 3:1 split in base 2, frozen from a 40-digit computation
@@ -20,101 +17,91 @@ H_3_TO_1_BASE2 = 0.8112781244591328
 # entropy of a 2:1 split in base 2, log2(3) - 2/3 to 19 digits
 H_2_TO_1_BASE2 = 0.9182958340544895
 
+MIXED_LENGTH_ROWS = [[0, 1, 2, 0, 1, 2] for _ in range(10)] + [
+    [2, 2, 2, 2, 2] for _ in range(6)
+]
+
 
 def mixed_length_population(alphabet3):
     # 10 members of length 6 and 6 of length 5
-    rows = [[0, 1, 2, 0, 1, 2] for _ in range(10)] + [[2, 2, 2, 2, 2] for _ in range(6)]
-    return make_population(alphabet3, rows)
+    return make_population(alphabet3, MIXED_LENGTH_ROWS)
 
 
 class TestSampleSize:
-    def test_counts_members_reaching_site(self, alphabet3):
-        population = mixed_length_population(alphabet3)
-        assert sample_size(population, 5) == 16
-        assert sample_size(population, 6) == 10
+    def test_counts_members_reaching_site(self):
+        sizes = sample_sizes(MIXED_LENGTH_ROWS)
+        assert sizes[5] == 16
+        assert sizes[6] == 10
 
-    def test_beyond_max_length_is_zero(self, alphabet3):
-        population = mixed_length_population(alphabet3)
-        assert sample_size(population, 7) == 0
+    def test_beyond_max_length_is_zero(self):
+        # the table ends at the longest member
+        assert max(sample_sizes(MIXED_LENGTH_ROWS)) == 6
 
-    def test_site_one_is_population_size(self, alphabet3):
-        population = mixed_length_population(alphabet3)
-        assert sample_size(population, 1) == 16
-
-    def test_rejects_nonpositive_site(self, alphabet3):
-        population = mixed_length_population(alphabet3)
-        with pytest.raises(ValueError):
-            sample_size(population, 0)
+    def test_site_one_is_population_size(self):
+        assert sample_sizes(MIXED_LENGTH_ROWS)[1] == 16
 
 
 class TestSiteDistribution:
+    """The symbols at one site, over the members that reach it."""
+
     def test_unanimous_site(self, alphabet2):
         population = make_population(alphabet2, [[0, 1], [0], [0, 0]])
-        distribution = site_distribution(population, 1)
-        assert distribution.counts == {0: 3}
-        assert distribution.sample_size == 3
+        assert physical_complexity_variable(population).per_site_entropy == (0.0,)
 
     def test_short_members_are_skipped(self, alphabet2):
-        population = make_population(alphabet2, [[0, 1], [0], [1, 1]])
-        distribution = site_distribution(population, 2)
-        assert distribution.counts == {1: 2}
-        assert distribution.sample_size == 2
+        # site 2 is reached by the four [0, 1] members only
+        population = make_population(alphabet2, [[0, 1]] * 4 + [[1]] * 2)
+        report = physical_complexity_variable(population)
+        assert report.per_site_entropy == (
+            pytest.approx(H_2_TO_1_BASE2, abs=1e-12),
+            0.0,
+        )
 
     def test_split_site(self, alphabet2):
         population = make_population(alphabet2, [[0, 1], [1, 0]])
-        assert site_distribution(population, 1).counts == {0: 1, 1: 1}
-
-    def test_rejects_out_of_range_site(self, alphabet2):
-        population = make_population(alphabet2, [[0, 1]])
-        with pytest.raises(ValueError):
-            site_distribution(population, 3)
-        with pytest.raises(ValueError):
-            site_distribution(population, 0)
-
-    def test_counts_must_sum_to_sample_size(self):
-        with pytest.raises(ValueError):
-            SiteDistribution(site=1, counts={0: 2}, sample_size=3)
+        assert physical_complexity_variable(population).per_site_entropy == (1.0,)
 
 
 class TestPerSiteEntropy:
     def test_unanimous_is_exactly_zero(self):
-        distribution = SiteDistribution(site=1, counts={0: 4}, sample_size=4)
-        assert per_site_entropy(distribution, 4) == 0.0
+        assert per_site_entropy({0: 4}, 4) == 0.0
 
     def test_uniform_over_alphabet_is_exactly_one(self):
-        distribution = SiteDistribution(
-            site=1, counts={0: 1, 1: 1, 2: 1, 3: 1}, sample_size=4
-        )
-        assert per_site_entropy(distribution, 4) == 1.0
+        assert per_site_entropy({0: 1, 1: 1, 2: 1, 3: 1}, 4) == 1.0
 
     def test_three_to_one_split(self):
-        distribution = SiteDistribution(site=1, counts={0: 3, 1: 1}, sample_size=4)
-        assert per_site_entropy(distribution, 2) == pytest.approx(
+        assert per_site_entropy({0: 3, 1: 1}, 2) == pytest.approx(
             H_3_TO_1_BASE2, abs=1e-9
         )
 
     def test_rejects_empty_distribution(self):
-        distribution = SiteDistribution(site=1, counts={}, sample_size=0)
         with pytest.raises(ValueError):
-            per_site_entropy(distribution, 2)
+            per_site_entropy({}, 2)
+        with pytest.raises(ValueError):
+            per_site_entropy({0: 0}, 2)
 
     def test_rejects_degenerate_alphabet(self):
-        distribution = SiteDistribution(site=1, counts={0: 4}, sample_size=4)
         with pytest.raises(ValueError):
-            per_site_entropy(distribution, 1)
+            per_site_entropy({0: 4}, 1)
 
     def test_rejects_more_symbols_than_alphabet(self):
-        distribution = SiteDistribution(
-            site=1, counts={0: 1, 1: 1, 2: 1}, sample_size=3
-        )
         with pytest.raises(ValueError):
-            per_site_entropy(distribution, 2)
+            per_site_entropy({0: 1, 1: 1, 2: 1}, 2)
+
+    def test_ignores_zero_counts(self):
+        assert per_site_entropy({0: 3, 1: 1, 2: 0}, 2) == per_site_entropy(
+            {0: 3, 1: 1}, 2
+        )
+        assert per_site_entropy({0: 1, 1: 1, 2: 0}, 2) == 1.0
+
+    def test_rejects_negative_counts(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            per_site_entropy({0: 3, 1: -1}, 2)
 
     def test_growing_the_base_shrinks_nonzero_entropy(self):
         # the same 3:1 counts measured against a larger alphabet
-        distribution = SiteDistribution(site=1, counts={0: 3, 1: 1}, sample_size=4)
-        base2 = per_site_entropy(distribution, 2)
-        base3 = per_site_entropy(distribution, 3)
+        base2 = per_site_entropy({0: 3, 1: 1}, 2)
+        base3 = per_site_entropy({0: 3, 1: 1}, 3)
         assert base3 == pytest.approx(0.5118595071429148, abs=1e-9)
         assert base3 < base2
 
@@ -241,7 +228,6 @@ class TestEfficiency:
 
 def test_entropy_value_is_reproducible_against_log_identity():
     # same quantity through a different algebraic route
-    distribution = SiteDistribution(site=1, counts={0: 3, 1: 1}, sample_size=4)
-    ours = per_site_entropy(distribution, 2)
+    ours = per_site_entropy({0: 3, 1: 1}, 2)
     theirs = (math.log(4) - (3 * math.log(3) + 1 * math.log(1)) / 4) / math.log(2)
     assert ours == pytest.approx(theirs, abs=1e-12)

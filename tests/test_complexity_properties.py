@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import make_population
+from conftest import make_population, sample_sizes
 from evotropy import (
     UnmeasurablePopulationError,
     calculable_length,
     per_site_entropy,
     physical_complexity_variable,
-    sample_size,
-    site_distribution,
 )
 
 
@@ -35,51 +33,50 @@ def build(alphabet_size, rows):
     return make_population(make_alphabet(alphabet_size), rows)
 
 
+def entropies_or_none(alphabet_size, rows):
+    try:
+        return physical_complexity_variable(build(alphabet_size, rows)).per_site_entropy
+    except UnmeasurablePopulationError:
+        return None
+
+
 class TestSampleSize:
     @given(populations())
     def test_never_increases_with_site(self, pop):
         alphabet_size, rows = pop
-        population = build(alphabet_size, rows)
-        sizes = [
-            sample_size(population, site)
-            for site in range(1, population.max_length + 2)
-        ]
-        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+        sizes = sample_sizes(rows, alphabet_size)
+        ordered = [sizes[site] for site in sorted(sizes)]
+        assert all(a >= b for a, b in zip(ordered, ordered[1:]))
 
     @given(populations())
     def test_site_one_counts_everyone(self, pop):
         alphabet_size, rows = pop
-        population = build(alphabet_size, rows)
-        assert sample_size(population, 1) == len(rows)
+        assert sample_sizes(rows, alphabet_size)[1] == len(rows)
 
     @given(populations())
     def test_matches_oracle(self, pop):
         alphabet_size, rows = pop
-        population = build(alphabet_size, rows)
-        for site in range(1, population.max_length + 1):
-            assert sample_size(population, site) == oracle.sample_size(rows, site)
+        longest = max(map(len, rows))
+        assert sample_sizes(rows, alphabet_size) == {
+            site: oracle.sample_size(rows, site) for site in range(1, longest + 1)
+        }
 
 
 class TestEntropy:
     @given(populations())
     def test_stays_in_unit_interval(self, pop):
         alphabet_size, rows = pop
-        population = build(alphabet_size, rows)
-        for site in range(1, population.max_length + 1):
-            entropy = per_site_entropy(
-                site_distribution(population, site), alphabet_size
-            )
+        for site in range(1, max(map(len, rows)) + 1):
+            entropy = per_site_entropy(oracle.site_counts(rows, site), alphabet_size)
             assert 0.0 <= entropy <= 1.0
 
     @given(populations())
     def test_matches_oracle_everywhere(self, pop):
         alphabet_size, rows = pop
-        population = build(alphabet_size, rows)
-        for site in range(1, population.max_length + 1):
-            ours = per_site_entropy(
-                site_distribution(population, site), alphabet_size
-            )
-            theirs = oracle.entropy(oracle.site_counts(rows, site), alphabet_size)
+        for site in range(1, max(map(len, rows)) + 1):
+            counts = oracle.site_counts(rows, site)
+            ours = per_site_entropy(counts, alphabet_size)
+            theirs = oracle.entropy(counts, alphabet_size)
             assert ours == pytest.approx(theirs, abs=1e-12)
 
     @given(populations(), st.randoms(use_true_random=False))
@@ -87,22 +84,18 @@ class TestEntropy:
         alphabet_size, rows = pop
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        population = build(alphabet_size, rows)
-        reordered = build(alphabet_size, shuffled)
-        for site in range(1, population.max_length + 1):
-            assert per_site_entropy(
-                site_distribution(population, site), alphabet_size
-            ) == per_site_entropy(site_distribution(reordered, site), alphabet_size)
+        assert entropies_or_none(alphabet_size, rows) == entropies_or_none(
+            alphabet_size, shuffled
+        )
 
     @given(populations(max_size=8), st.integers(min_value=2, max_value=4))
     def test_duplicating_every_member_changes_nothing(self, pop, copies):
         alphabet_size, rows = pop
-        population = build(alphabet_size, rows)
-        duplicated = build(alphabet_size, rows * copies)
-        for site in range(1, population.max_length + 1):
-            assert per_site_entropy(
-                site_distribution(population, site), alphabet_size
-            ) == per_site_entropy(site_distribution(duplicated, site), alphabet_size)
+        entropies = entropies_or_none(alphabet_size, rows)
+        duplicated = entropies_or_none(alphabet_size, rows * copies)
+        # duplication can only make more sites measurable
+        if entropies is not None:
+            assert duplicated[: len(entropies)] == entropies
 
 
 class TestCalculableLength:
@@ -110,7 +103,7 @@ class TestCalculableLength:
     def test_bounded_by_max_length(self, pop):
         alphabet_size, rows = pop
         population = build(alphabet_size, rows)
-        assert 0 <= calculable_length(population) <= population.max_length
+        assert 0 <= calculable_length(population) <= max(map(len, rows))
 
     @given(populations())
     def test_matches_oracle(self, pop):
@@ -142,6 +135,7 @@ class TestComplexityReport:
         measured, entropies, complexity, eff = expected
         report = physical_complexity_variable(population)
         assert report.calculable_length == measured
+        assert report.max_length == max(map(len, rows))
         assert len(report.per_site_entropy) == measured
         for ours, theirs in zip(report.per_site_entropy, entropies):
             assert ours == pytest.approx(theirs, abs=1e-12)
@@ -168,7 +162,7 @@ class TestComplexityReport:
             report = physical_complexity_variable(population)
         except UnmeasurablePopulationError:
             return
-        length = population.max_length
+        length = len(rows[0])
         if report.calculable_length != length:
             return
         # fixed-length formula: every site measured, length minus entropies
@@ -177,28 +171,3 @@ class TestComplexityReport:
             for site in range(1, length + 1)
         )
         assert report.complexity == pytest.approx(max(0.0, fixed), abs=1e-12)
-
-    @settings(max_examples=200)
-    @given(populations(max_size=40))
-    def test_one_pass_equals_the_per_site_api_exactly(self, pop):
-        alphabet_size, rows = pop
-        population = build(alphabet_size, rows)
-        sites = range(1, population.max_length + 1)
-        sizes = {site: sample_size(population, site) for site in sites}
-        measured = 0
-        for site in sites:
-            if sizes[site] < alphabet_size * site:
-                break
-            measured = site
-        assert calculable_length(population) == measured
-        if measured == 0:
-            with pytest.raises(UnmeasurablePopulationError) as excinfo:
-                physical_complexity_variable(population)
-            assert excinfo.value.sample_sizes == sizes
-            return
-        report = physical_complexity_variable(population)
-        assert report.per_site_entropy == tuple(
-            per_site_entropy(site_distribution(population, site), alphabet_size)
-            for site in range(1, measured + 1)
-        )
-        assert report.max_length == population.max_length

@@ -65,7 +65,7 @@ class TestPopulation:
     def test_from_rows(self, alphabet2):
         population = make_population(alphabet2, [[0, 1], [1]])
         assert len(population) == 2
-        assert population.max_length == 2
+        assert population.members == (AgentSequence((0, 1)), AgentSequence((1,)))
 
     def test_rejects_symbols_outside_alphabet(self, alphabet2):
         with pytest.raises(ValueError):
@@ -80,7 +80,6 @@ class TestPopulation:
 
     def test_empty_population_is_allowed(self, alphabet2):
         assert len(Population((), alphabet2)) == 0
-        assert Population((), alphabet2).max_length == 0
 
     def test_duplicates_are_distinct_members(self, alphabet2):
         population = make_population(alphabet2, [[0], [0], [0]])

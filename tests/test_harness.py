@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from evotropy import (
     STATS_HEADER,
     ConfigError,
+    EvolutionConfig,
     GenerationStats,
     RunConfig,
     build_evolution_config,
@@ -179,12 +181,25 @@ class TestGeneration:
 
 class TestBuildEvolutionConfig:
     def test_scalar_settings_carry_over(self):
-        config = build_evolution_config(
-            RunConfig(rng_seed=3, crossover_fraction=0.2, generations=17)
+        run_config = RunConfig(
+            rng_seed=3,
+            crossover_fraction=0.2,
+            mutation_fraction=0.3,
+            parsimony_coefficient=0.05,
+            population_floor=40,
+            generations=17,
         )
-        assert config.rng_seed == 3
-        assert config.crossover_fraction == 0.2
-        assert config.generations == 17
+        config = build_evolution_config(run_config)
+        shared = {field.name for field in dataclasses.fields(EvolutionConfig)} & {
+            field.name for field in dataclasses.fields(RunConfig)
+        }
+        defaults = {
+            field.name: field.default for field in dataclasses.fields(RunConfig)
+        }
+        for name in shared:
+            # a default value would hide a setting the builder dropped
+            assert getattr(run_config, name) != defaults[name], name
+            assert getattr(config, name) == getattr(run_config, name), name
         assert config.discriminating is True
 
     def test_mode_maps_to_discriminating_flag(self):

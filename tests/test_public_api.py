@@ -1,4 +1,9 @@
-"""The package exports exactly the union of its modules' public lists."""
+"""The package exports exactly the union of its modules' public lists,
+and imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
 
 import evotropy
 from evotropy import complexity, core, evolution, harness
@@ -6,10 +11,13 @@ from evotropy import complexity, core, evolution, harness
 MODULES = (core, complexity, evolution, harness)
 
 REMOVED = (
+    "SiteDistribution",
     "SnapshotFile",
     "genotype_space_size",
     "min_population_size",
     "physical_complexity_fixed",
+    "sample_size",
+    "site_distribution",
     "validate_run_config",
 )
 
@@ -34,3 +42,18 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in evotropy.__all__
         assert not hasattr(evotropy, name)
+    assert not hasattr(evotropy.Population, "max_length")
+
+
+def test_runtime_imports_only_the_standard_library():
+    for path in sorted(Path(evotropy.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                root = name.split(".")[0]
+                assert root in sys.stdlib_module_names, f"{path.name} imports {name}"
