@@ -10,10 +10,12 @@ seed.  Integer draws are derived from it by the helpers below, so one
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import truediv
 from statistics import fmean
 from typing import Sequence
 
@@ -114,11 +116,20 @@ def check_settings(settings, pool_size: int) -> None:
         value = getattr(settings, name)
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+    coefficient = settings.parsimony_coefficient
     # the chained comparison is False for nan, which `< 0` would let through
-    if not 0.0 <= settings.parsimony_coefficient < math.inf:
+    if not 0.0 <= coefficient < math.inf:
         raise ConfigError(
-            "parsimony_coefficient must be finite and >= 0, "
-            f"got {settings.parsimony_coefficient}"
+            f"parsimony_coefficient must be finite and >= 0, got {coefficient}"
+        )
+    # a member outgrows the mean length by fewer symbols than this (one
+    # insert per generation at most), so the penalty 1 + coefficient * excess
+    # stays finite whenever this product does
+    longest_excess = INITIAL_LENGTH_RANGE[1] + settings.generations
+    if not math.isfinite(coefficient * longest_excess):
+        raise ConfigError(
+            f"parsimony_coefficient {coefficient} is too large for "
+            f"{settings.generations} generations: the length penalty overflows"
         )
     if settings.population_floor < pool_size:
         raise ConfigError(
@@ -220,20 +231,31 @@ def fitness(
 
 
 def parsimony_adjusted_fitness(
-    raw: float, length: int, mean_length: float, coefficient: float
-) -> float:
+    raw: Sequence[float],
+    lengths: Sequence[int],
+    mean_length: float,
+    coefficient: float,
+) -> list[float]:
     """Penalise above-average length by dividing the raw fitness.
 
     Members at or below the population mean keep their raw score
     untouched; longer ones are divided by 1 + coefficient * excess, which
     keeps the result positive so roulette selection stays well defined.
+    `raw` and `lengths` hold one value per member, in member order.
     """
-    if raw <= 0.0:
-        raise ValueError(f"raw fitness must be positive, got {raw}")
-    if coefficient < 0.0:
-        raise ValueError(f"coefficient must be >= 0, got {coefficient}")
-    excess = max(0.0, length - mean_length)
-    return raw / (1.0 + coefficient * excess)
+    if len(raw) != len(lengths):
+        raise ValueError(f"{len(raw)} fitness values for {len(lengths)} lengths")
+    if not all(map((0.0).__lt__, raw)):
+        raise ValueError("raw fitness values must all be positive")
+    # nan fails the chained comparison; inf would make 1 + inf * 0.0 a nan
+    if not 0.0 <= coefficient < math.inf:
+        raise ValueError(f"coefficient must be finite and >= 0, got {coefficient}")
+    # one divisor per distinct length, the same float for every member sharing it
+    divisors = {
+        length: 1.0 + coefficient * max(0.0, length - mean_length)
+        for length in set(lengths)
+    }
+    return list(map(truediv, raw, map(divisors.__getitem__, lengths)))
 
 
 def select(
@@ -257,18 +279,24 @@ def select(
         )
     if target_size < 1:
         raise ValueError(f"target_size must be >= 1, got {target_size}")
-    if any(value <= 0.0 for value in adjusted_fitness):
+    # `0.0 < nan` is False, so a nan weight fails here too
+    if not all(map((0.0).__lt__, adjusted_fitness)):
         raise ValueError("adjusted fitness values must all be positive")
+    cumulative = list(accumulate(adjusted_fitness))
+    total = cumulative[-1]
+    if not math.isfinite(total):
+        raise ValueError(
+            f"adjusted fitness values must have a finite sum, got {total}"
+        )
 
-    cumulative = []
-    running = 0.0
-    for value in adjusted_fitness:
-        running += value
-        cumulative.append(running)
+    # hi=last clamps a draw past the final boundary onto the last member
     last = len(members) - 1
+    draw = rng.random
     chosen = tuple(
-        members[min(bisect.bisect_right(cumulative, rng.random() * running), last)]
-        for _ in range(target_size)
+        [
+            members[bisect_right(cumulative, draw() * total, 0, last)]
+            for _ in range(target_size)
+        ]
     )
     return Population(chosen, population.alphabet)
 
@@ -382,12 +410,9 @@ def step_generation(
     raw = _scores(members, config.request, alphabet)
     lengths = [len(member.symbols) for member in members]
     mean_length = fmean(lengths)
-    adjusted = [
-        parsimony_adjusted_fitness(
-            score, length, mean_length, config.parsimony_coefficient
-        )
-        for score, length in zip(raw, lengths)
-    ]
+    adjusted = parsimony_adjusted_fitness(
+        raw, lengths, mean_length, config.parsimony_coefficient
+    )
     # the nondiscriminating baseline feeds flat weights to the same roulette
     weights = adjusted if config.discriminating else [1.0] * len(members)
 

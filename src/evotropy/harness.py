@@ -12,6 +12,7 @@ import colorsys
 import os
 import random
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -49,7 +50,8 @@ STATS_HEADER = (
     "population_size,calculable_length,complexity,efficiency"
 )
 
-WHITE = (255, 255, 255)
+# the padding pixel, as P3 text
+WHITE = "255 255 255"
 
 
 @dataclass(frozen=True)
@@ -261,7 +263,7 @@ def format_snapshot(rows: Sequence[Sequence[int]]) -> str:
     """Plain-text snapshot: one member per line, space-separated agent ids."""
     if not rows:
         raise ValueError("snapshot has no rows")
-    return "\n".join(" ".join(str(symbol) for symbol in row) for row in rows) + "\n"
+    return "\n".join(" ".join(map(str, row)) for row in rows) + "\n"
 
 
 def palette_color(symbol: int, alphabet_size: int) -> tuple[int, int, int]:
@@ -285,12 +287,21 @@ def render_snapshot(rows: Sequence[Sequence[int]], alphabet_size: int) -> str:
     """
     if not rows:
         raise ValueError("snapshot has no rows")
+    # a list index would wrap -1 silently, so check the symbol range first
+    used = set(chain.from_iterable(rows))
+    if used:
+        palette_color(min(used), alphabet_size)
+        palette_color(max(used), alphabet_size)
+    colors = [
+        " ".join(map(str, palette_color(symbol, alphabet_size)))
+        for symbol in range(alphabet_size)
+    ]
     width = max(len(row) for row in rows)
     lines = ["P3", f"{width} {len(rows)}", "255"]
     for row in rows:
-        pixels = [palette_color(symbol, alphabet_size) for symbol in row]
+        pixels = list(map(colors.__getitem__, row))
         pixels.extend([WHITE] * (width - len(row)))
-        lines.append(" ".join(f"{r} {g} {b}" for r, g, b in pixels))
+        lines.append(" ".join(pixels))
     return "\n".join(lines) + "\n"
 
 
@@ -327,7 +338,7 @@ def read_population_file(path) -> Population:
                 raise ConfigError("alphabet_size must be at least 2")
             continue
         try:
-            rows.append(tuple(int(token) for token in line.split()))
+            rows.append(tuple(map(int, line.split())))
         except ValueError:
             raise ConfigError(
                 f"line {line_number}: member rows must be space-separated "

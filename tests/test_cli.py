@@ -52,7 +52,7 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
     def test_non_finite_parsimony_is_a_config_error(self, tmp_path, capsys, value):
         text = GOOD_CONFIG + f"parsimony_coefficient = {value}\n"
         config = write(tmp_path, "bad.cfg", text)
@@ -63,6 +63,15 @@ class TestRunCommand:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "parsimony_coefficient" in err
         assert not out_dir.exists()
+
+    def test_large_finite_parsimony_runs(self, tmp_path, capsys):
+        text = "rng_seed = 7\ngenerations = 2\nparsimony_coefficient = 1e300\n"
+        config = write(tmp_path, "large.cfg", text)
+        out_dir = tmp_path / "results"
+        code = main(["run", "--config", str(config), "--output-dir", str(out_dir)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (out_dir / "stats.csv").exists()
 
     def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

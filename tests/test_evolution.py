@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -115,29 +116,38 @@ class TestFitness:
 
 class TestParsimony:
     def test_long_member_is_penalised(self):
-        assert parsimony_adjusted_fitness(0.8, 7, 5.0, 0.1) == pytest.approx(
-            0.6666666666666667, abs=1e-12
+        assert parsimony_adjusted_fitness([0.8], [7], 5.0, 0.1) == pytest.approx(
+            [0.6666666666666667], abs=1e-12
         )
 
     def test_at_mean_length_is_untouched(self):
-        assert parsimony_adjusted_fitness(0.8, 5, 5.0, 0.1) == 0.8
+        assert parsimony_adjusted_fitness([0.8], [5], 5.0, 0.1) == [0.8]
 
     def test_below_mean_length_is_untouched(self):
-        assert parsimony_adjusted_fitness(0.8, 2, 5.0, 0.1) == 0.8
+        assert parsimony_adjusted_fitness([0.8], [2], 5.0, 0.1) == [0.8]
 
     def test_zero_coefficient_disables_the_penalty(self):
-        assert parsimony_adjusted_fitness(0.5, 30, 2.0, 0.0) == 0.5
+        assert parsimony_adjusted_fitness([0.5], [30], 2.0, 0.0) == [0.5]
 
     def test_result_stays_positive(self):
-        assert parsimony_adjusted_fitness(1e-6, 1000, 1.0, 10.0) > 0.0
+        assert parsimony_adjusted_fitness([1e-6], [1000], 1.0, 10.0)[0] > 0.0
 
     def test_rejects_nonpositive_raw(self):
         with pytest.raises(ValueError):
-            parsimony_adjusted_fitness(0.0, 3, 3.0, 0.1)
+            parsimony_adjusted_fitness([0.0], [3], 3.0, 0.1)
 
     def test_rejects_negative_coefficient(self):
         with pytest.raises(ValueError):
-            parsimony_adjusted_fitness(0.5, 3, 3.0, -0.1)
+            parsimony_adjusted_fitness([0.5], [3], 3.0, -0.1)
+
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf])
+    def test_rejects_non_finite_coefficient(self, coefficient):
+        with pytest.raises(ValueError):
+            parsimony_adjusted_fitness([0.5], [3], 3.0, coefficient)
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            parsimony_adjusted_fitness([0.5, 0.5], [3], 3.0, 0.1)
 
 
 class TestSelect:
@@ -186,6 +196,16 @@ class TestSelect:
         population = make_population(alphabet2, [[0], [1]])
         with pytest.raises(ValueError):
             select(population, [1.0, 1.0], 0, random.Random(0))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, math.nan, 1.0], [1.0, math.inf, 1.0], [1e308] * 3],
+        ids=["nan", "inf", "overflowing-total"],
+    )
+    def test_rejects_non_finite_weights(self, alphabet3, weights):
+        population = make_population(alphabet3, [[0], [1], [2]])
+        with pytest.raises(ValueError):
+            select(population, weights, 12, random.Random(3))
 
 
 class TestCrossover:
@@ -346,7 +366,7 @@ class TestConfigAndState:
         with pytest.raises(ValueError):
             self.config(parsimony_coefficient=-1.0)
 
-    @pytest.mark.parametrize("coefficient", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("coefficient", [float("nan"), float("inf"), 1e308])
     def test_rejects_non_finite_parsimony(self, coefficient):
         with pytest.raises(ValueError, match="parsimony_coefficient"):
             self.config(parsimony_coefficient=coefficient)

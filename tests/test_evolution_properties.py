@@ -1,9 +1,11 @@
 """Property tests for the variation and selection operators."""
 
+import bisect
 import random
 from collections import Counter
 from statistics import fmean
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -112,6 +114,80 @@ class TestSelectionInvariants:
         assert all(member.symbols in allowed for member in chosen.members)
 
 
+def loop_select(population, adjusted_fitness, target_size, rng):
+    """The roulette as a Python loop: running sum, bisect, clamp with min."""
+    members = population.members
+    cumulative = []
+    running = 0.0
+    for value in adjusted_fitness:
+        running += value
+        cumulative.append(running)
+    last = len(members) - 1
+    return tuple(
+        members[min(bisect.bisect_right(cumulative, rng.random() * running), last)]
+        for _ in range(target_size)
+    )
+
+
+class TestSelectMatchesLoop:
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(min_value=1, max_value=60),
+        seeds,
+    )
+    def test_same_members_and_rng_state(self, weights, target, seed):
+        rows = [[index % 3] for index in range(len(weights))]
+        population = make_population(make_alphabet(3), rows)
+        rng, loop_rng = random.Random(seed), random.Random(seed)
+        chosen = select(population, weights, target, rng)
+        assert chosen.members == loop_select(population, weights, target, loop_rng)
+        assert rng.getstate() == loop_rng.getstate()
+
+    @pytest.mark.parametrize("top", [1 - 2**-53, 1.0])
+    def test_draw_at_the_top_of_the_wheel_is_clamped_to_the_last_member(self, top):
+        class TopRandom:
+            def random(self):
+                return top
+
+        population = make_population(make_alphabet(3), [[0], [1], [2]])
+        weights = [0.5, 0.25, 0.25]
+        chosen = select(population, weights, 4, TopRandom())
+        assert chosen.members == loop_select(population, weights, 4, TopRandom())
+        assert [member.symbols for member in chosen.members] == [(2,)] * 4
+
+
+def scalar_parsimony(raw, length, mean_length, coefficient):
+    """The one-member parsimony formula, applied member by member."""
+    excess = max(0.0, length - mean_length)
+    return raw / (1.0 + coefficient * excess)
+
+
+class TestParsimonyMatchesScalarFormula:
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1e-300, max_value=1.0),
+                st.integers(min_value=1, max_value=400),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.floats(min_value=1.0, max_value=400.0),
+        st.floats(min_value=0.0, max_value=1e6),
+    )
+    def test_equal_lists(self, members, mean, coefficient):
+        raw = [score for score, _ in members]
+        lengths = [length for _, length in members]
+        assert parsimony_adjusted_fitness(raw, lengths, mean, coefficient) == [
+            scalar_parsimony(score, length, mean, coefficient)
+            for score, length in members
+        ]
+
+
 def pooled_fitness(individual, request, alphabet):
     """The pooled-attribute formula, scanning every pooled value per request value."""
     pool = [
@@ -203,7 +279,7 @@ class TestFitnessInvariants:
         st.floats(min_value=0.0, max_value=5.0),
     )
     def test_parsimony_never_raises_fitness(self, raw, length, mean, coefficient):
-        adjusted = parsimony_adjusted_fitness(raw, length, mean, coefficient)
+        [adjusted] = parsimony_adjusted_fitness([raw], [length], mean, coefficient)
         assert 0.0 < adjusted <= raw
         if length <= mean:
             assert adjusted == raw

@@ -2,6 +2,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evotropy import (
     STATS_HEADER,
@@ -357,6 +359,39 @@ class TestRenderSnapshot:
     def test_empty_snapshot_is_rejected(self):
         with pytest.raises(ValueError):
             render_snapshot((), 2)
+
+    @pytest.mark.parametrize("symbol", [-1, 3])
+    def test_symbol_outside_the_alphabet_is_rejected(self, symbol):
+        with pytest.raises(ValueError, match=f"symbol {symbol} outside"):
+            render_snapshot(((0, 1), (2, symbol, 0)), 3)
+
+
+def pixel_loop_render(rows, alphabet_size):
+    """The P3 render calling palette_color once per pixel."""
+    width = max(len(row) for row in rows)
+    lines = ["P3", f"{width} {len(rows)}", "255"]
+    for row in rows:
+        pixels = [palette_color(symbol, alphabet_size) for symbol in row]
+        pixels.extend([(255, 255, 255)] * (width - len(row)))
+        lines.append(" ".join(f"{r} {g} {b}" for r, g, b in pixels))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def snapshots(draw):
+    alphabet_size = draw(st.integers(min_value=2, max_value=300))
+    symbols = st.integers(min_value=0, max_value=alphabet_size - 1)
+    rows = draw(st.lists(st.lists(symbols, max_size=12), min_size=1, max_size=12))
+    return rows, alphabet_size
+
+
+class TestRenderMatchesPixelLoop:
+    @given(snapshots())
+    def test_equal_bytes_for_ragged_rows(self, snapshot):
+        rows, alphabet_size = snapshot
+        assert render_snapshot(rows, alphabet_size).encode("ascii") == (
+            pixel_loop_render(rows, alphabet_size).encode("ascii")
+        )
 
 
 class TestReadPopulationFile:
