@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import truediv
 from statistics import fmean
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .complexity import UnmeasurablePopulationError, physical_complexity_variable
 from .core import AgentSequence, Alphabet, Population, UserRequest
@@ -38,6 +39,7 @@ __all__ = [
     "mutate",
     "target_population_size",
     "step_generation",
+    "evolve",
     "run",
 ]
 
@@ -86,6 +88,7 @@ class EvolutionConfig:
     `discriminating` switches between fitness-proportional survival and
     an equal-probability baseline; nothing else in the pipeline changes,
     so the two modes isolate exactly the effect of selection pressure.
+    `gaps`, the fitness gap table of the run, is built with the config.
     """
 
     request: UserRequest
@@ -97,9 +100,39 @@ class EvolutionConfig:
     population_floor: int = 160
     generations: int = 300
     discriminating: bool = True
+    gaps: list[list[int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_settings(self, self.alphabet.size)
+        object.__setattr__(self, "gaps", _gap_table(self.request, self.alphabet))
+        _check_smallest_weight(self)
+
+
+def _check_smallest_weight(config: EvolutionConfig) -> None:
+    """Reject a config whose selection weights could leave the normal floats.
+
+    Every raw score is at least 1 / (1 + the largest gap-table row sum),
+    and every parsimony divisor is at most 1 + coefficient * (longest
+    initial length + generations).  Float rounding is monotone, so the
+    bound computed here is no larger than any weight the run computes;
+    a subnormal weight could round a roulette draw past the wheel.
+    """
+    try:
+        lowest_raw = 1.0 / (1.0 + max(map(sum, config.gaps)))
+    except OverflowError:
+        raise ConfigError(
+            "attribute_max - attribute_min is too wide: a fitness gap sum "
+            "overflows a float"
+        ) from None
+    coefficient = config.parsimony_coefficient
+    longest_excess = INITIAL_LENGTH_RANGE[1] + config.generations
+    lowest = lowest_raw / (1.0 + coefficient * longest_excess)
+    if lowest < sys.float_info.min:
+        raise ConfigError(
+            f"parsimony_coefficient {coefficient} leaves a selection weight of "
+            f"{lowest!r} (raw fitness down to {lowest_raw!r}), below the smallest "
+            "normal float; lower it or narrow the attribute range"
+        )
 
 
 def check_settings(settings, pool_size: int) -> None:
@@ -204,11 +237,8 @@ def _score(symbols: tuple[int, ...], gaps: list[list[int]]) -> float:
     return 1.0 / (1.0 + sum(map(min, rows[0], *rows)))
 
 
-def _scores(
-    members: Sequence[AgentSequence], request: UserRequest, alphabet: Alphabet
-) -> list[float]:
+def _scores(members: Sequence[AgentSequence], gaps: list[list[int]]) -> list[float]:
     """Fitness of every member, each distinct symbol run scored once."""
-    gaps = _gap_table(request, alphabet)
     rows = [member.symbols for member in members]
     scores = dict.fromkeys(rows)
     for symbols in scores:
@@ -407,7 +437,7 @@ def step_generation(
     members = state.population.members
     alphabet = config.alphabet
 
-    raw = _scores(members, config.request, alphabet)
+    raw = _scores(members, config.gaps)
     lengths = [len(member.symbols) for member in members]
     mean_length = fmean(lengths)
     adjusted = parsimony_adjusted_fitness(
@@ -442,21 +472,14 @@ def step_generation(
     return next_state, stats
 
 
-def run(
-    config: EvolutionConfig, snapshot_every: int = 0
-) -> tuple[list[GenerationStats], EvolutionState, list[tuple[int, Population]]]:
+def evolve(config: EvolutionConfig) -> Iterator[tuple[EvolutionState, GenerationStats]]:
     """Seed a population from the config and iterate the generation loop.
 
     The initial population holds population_floor members with lengths
     drawn uniformly from INITIAL_LENGTH_RANGE and uniformly random
-    symbols.  Returns the stats rows (generation 0 is the measurement of
-    the freshly seeded population; generations == 0 yields only that
-    row), the final state, and (generation, population) snapshots taken
-    every `snapshot_every` generations.  0 disables snapshots; when
-    enabled, the final generation is always captured.
+    symbols.  Yields (state, stats) for generation 0, the freshly seeded
+    population, then after each of config.generations steps.
     """
-    if snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
     rng = random.Random(config.rng_seed)
     low, high = INITIAL_LENGTH_RANGE
     members = []
@@ -469,21 +492,31 @@ def run(
         )
     population = Population(tuple(members), config.alphabet)
     state = EvolutionState(0, population, rng.getstate())
+    yield state, _stats_for(0, _scores(members, config.gaps), population)
+    for _ in range(config.generations):
+        state, stats = step_generation(state, config)
+        yield state, stats
 
-    raw = _scores(members, config.request, config.alphabet)
-    stats = [_stats_for(0, raw, population)]
 
-    def wants_snapshot(generation: int) -> bool:
-        if snapshot_every <= 0:
-            return False
-        return generation % snapshot_every == 0 or generation == config.generations
+def snapshot_due(generation: int, every: int, last: int) -> bool:
+    """True on the grid of `every` generations (0: never) and at the `last`."""
+    return every > 0 and (generation % every == 0 or generation == last)
 
-    snapshots = []
-    if wants_snapshot(0):
-        snapshots.append((0, population))
-    for generation in range(1, config.generations + 1):
-        state, row = step_generation(state, config)
+
+def run(
+    config: EvolutionConfig, snapshot_every: int = 0
+) -> tuple[list[GenerationStats], EvolutionState, list[tuple[int, Population]]]:
+    """Collect a whole evolve(config) run into lists.
+
+    Returns the stats rows, the final state, and (generation, population)
+    snapshots every `snapshot_every` generations (0: none; the final
+    generation is always captured).
+    """
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
+    stats, snapshots = [], []
+    for state, row in evolve(config):
         stats.append(row)
-        if wants_snapshot(generation):
-            snapshots.append((generation, state.population))
+        if snapshot_due(state.generation, snapshot_every, config.generations):
+            snapshots.append((state.generation, state.population))
     return stats, state, snapshots

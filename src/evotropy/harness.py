@@ -22,8 +22,9 @@ from .evolution import (
     EvolutionConfig,
     GenerationStats,
     check_settings,
+    evolve,
     rand_int,
-    run,
+    snapshot_due,
 )
 
 __all__ = [
@@ -98,6 +99,13 @@ class RunConfig:
                 "attribute_min must not exceed attribute_max "
                 f"({self.attribute_min} > {self.attribute_max})"
             )
+        try:
+            # the integer draws scale a float by the range
+            float(self.attribute_max - self.attribute_min)
+        except OverflowError:
+            raise ConfigError(
+                "attribute_max - attribute_min must convert to a finite float"
+            ) from None
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be >= 0")
         check_settings(self, self.pool_size)
@@ -358,24 +366,26 @@ def read_population_file(path) -> Population:
 def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
     """Run one experiment and write its artifacts under the output directory.
 
-    Writes stats.csv always and snap_<generation>.txt plus
-    snap_<generation>.ppm at the configured cadence, each file replaced
-    whole, then prints the final max fitness and efficiency.  `out_dir`
+    Writes snap_<generation>.txt and .ppm at the configured cadence as
+    each generation is made, then stats.csv, each file replaced whole,
+    and prints the final max fitness and efficiency.  `out_dir`
     overrides config.output_dir when given.  Returns the stats rows.
     """
     evolution_config = build_evolution_config(config)
-    stats, _, snapshots = run(evolution_config, snapshot_every=config.snapshot_every)
-
     directory = Path(out_dir if out_dir is not None else config.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    stats = []
+    for state, row in evolve(evolution_config):
+        stats.append(row)
+        generation = state.generation
+        if snapshot_due(generation, config.snapshot_every, config.generations):
+            rows = [member.symbols for member in state.population.members]
+            _write_atomic(directory / f"snap_{generation}.txt", format_snapshot(rows))
+            _write_atomic(
+                directory / f"snap_{generation}.ppm",
+                render_snapshot(rows, evolution_config.alphabet.size),
+            )
     write_stats_csv(stats, directory / "stats.csv")
-    for generation, population in snapshots:
-        rows = [member.symbols for member in population.members]
-        _write_atomic(directory / f"snap_{generation}.txt", format_snapshot(rows))
-        _write_atomic(
-            directory / f"snap_{generation}.ppm",
-            render_snapshot(rows, evolution_config.alphabet.size),
-        )
 
     final = stats[-1]
     print(f"final_max_fitness: {_real(final.max_fitness)}")

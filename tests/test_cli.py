@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evotropy import __version__, cli
+from evotropy import __version__, cli, evolution
 from evotropy.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 
 GOOD_CONFIG = """\
@@ -62,6 +62,29 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "parsimony_coefficient" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "settings,key",
+        [
+            (
+                f"parsimony_coefficient = 1e305\nattribute_max = {10**20}",
+                "parsimony_coefficient",
+            ),
+            (f"attribute_max = {10**400}", "attribute_max"),
+            (f"attribute_max = {10**308}", "attribute_max"),
+        ],
+        ids=["weight-underflow", "range-beyond-float", "gap-sum-overflow"],
+    )
+    def test_numeric_limits_are_config_errors(self, tmp_path, capsys, settings, key):
+        text = f"rng_seed = 7\ngenerations = 2\n{settings}\n"
+        config = write(tmp_path, "bad.cfg", text)
+        out_dir = tmp_path / "results"
+        code = main(["run", "--config", str(config), "--output-dir", str(out_dir)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err
         assert not out_dir.exists()
 
     def test_large_finite_parsimony_runs(self, tmp_path, capsys):
@@ -155,6 +178,10 @@ class TestAnalyzeCommand:
 
 
 _FRACTIONS = st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf])
+# the huge magnitudes reach the float limits of the attribute range
+_ATTRIBUTES = st.integers(-20, 20) | st.sampled_from(
+    [-(10**400), -(10**20), 10**20, 10**400]
+)
 # size keys have no upper bound, so the fuzz keeps them small
 _VALUES = {
     "rng_seed": st.integers(-1, 2**64),
@@ -167,8 +194,8 @@ _VALUES = {
     "pool_size": st.integers(-1, 8),
     "attributes_per_agent": st.integers(-1, 3),
     "request_length": st.integers(-1, 4),
-    "attribute_min": st.integers(-20, 20),
-    "attribute_max": st.integers(-20, 20),
+    "attribute_min": _ATTRIBUTES,
+    "attribute_max": _ATTRIBUTES,
     "snapshot_every": st.integers(-1, 3),
 }
 # no '#', '=' or line breaks: junk never turns into a (large) valid setting
@@ -223,6 +250,9 @@ class TestFuzz:
             code, err = _fuzz_main(
                 ["run", "--config", str(config), "--output-dir", str(out_dir)]
             )
+        # a run records unmeasurable generations as empty fields, so it
+        # has no legitimate runtime failure
+        assert code != EXIT_RUNTIME
         assert err.count("\n") == (0 if code == EXIT_OK else 1)
 
     @settings(max_examples=60, deadline=None)
@@ -232,7 +262,9 @@ class TestFuzz:
             population = Path(directory) / "pop.txt"
             population.write_bytes(data)
             code, err = _fuzz_main(["analyze", "--population", str(population)])
-        if not err.startswith("unmeasurable population:"):
+        if code == EXIT_RUNTIME:
+            assert err.startswith("unmeasurable population:")
+        else:
             assert err.count("\n") == (0 if code == EXIT_OK else 1)
 
 
@@ -284,6 +316,38 @@ class TestInternalErrors:
         population = write(tmp_path, "pop.txt", "alphabet_size=2\n0 1\n0 1\n")
         assert main(["analyze", "--population", str(population)]) == EXIT_RUNTIME
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    def test_failure_mid_run_keeps_the_snapshots_already_written(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        text = (
+            "rng_seed = 17\ngenerations = 6\npopulation_floor = 16\n"
+            "pool_size = 4\nmutation_fraction = 0.5\nsnapshot_every = 1\n"
+        )
+        config = write(tmp_path, "run.cfg", text)
+        full, cut = tmp_path / "full", tmp_path / "cut"
+        assert main(["run", "--config", str(config), "--output-dir", str(full)]) == 0
+        capsys.readouterr()
+
+        mutate, calls = evolution.mutate, []
+
+        def failing_mutate(*args):
+            calls.append(None)
+            if len(calls) > 20:
+                raise RuntimeError("mutate gave up")
+            return mutate(*args)
+
+        monkeypatch.setattr(evolution, "mutate", failing_mutate)
+        code = main(["run", "--config", str(config), "--output-dir", str(cut)])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: mutate gave up\n"
+        written = sorted(path.name for path in cut.iterdir())
+        assert {"snap_0.txt", "snap_0.ppm", "snap_1.txt", "snap_1.ppm"} <= set(written)
+        assert "snap_6.txt" not in written and "stats.csv" not in written
+        assert not list(cut.glob("*.tmp"))
+        for name in written:
+            assert (cut / name).read_bytes() == (full / name).read_bytes()
 
     def test_interrupt_is_not_swallowed(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_experiment", _raise(KeyboardInterrupt()))

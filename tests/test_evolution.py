@@ -9,12 +9,15 @@ from conftest import make_alphabet, make_population
 from evotropy import (
     INITIAL_LENGTH_RANGE,
     AgentSequence,
+    ConfigError,
     EvolutionConfig,
     EvolutionState,
     GenerationStats,
     Population,
     UserRequest,
     crossover_pair,
+    evolution,
+    evolve,
     fitness,
     mutate,
     parsimony_adjusted_fitness,
@@ -371,6 +374,24 @@ class TestConfigAndState:
         with pytest.raises(ValueError, match="parsimony_coefficient"):
             self.config(parsimony_coefficient=coefficient)
 
+    def test_smallest_weight_must_be_a_normal_float(self):
+        # every raw score is at least 1/3 and a member outgrows the mean by
+        # under 5 symbols, so the smallest weight is (1/3) / (1 + 5c)
+        self.config(parsimony_coefficient=1e306, generations=0)
+        with pytest.raises(ConfigError, match="parsimony_coefficient"):
+            self.config(parsimony_coefficient=1e307, generations=0)
+
+    def test_rejects_a_gap_sum_beyond_float(self):
+        alphabet = make_alphabet(2, [(0,), (10**308,)])
+        with pytest.raises(ConfigError, match="attribute_max"):
+            self.config(alphabet=alphabet, request=UserRequest((10**308,) * 2))
+
+    def test_gap_table_is_kept_out_of_eq_hash_repr(self):
+        config = self.config()
+        assert config.gaps == [[0, 2], [2, 0]]
+        assert config == self.config() and hash(config) == hash(self.config())
+        assert "gaps" not in repr(config)
+
     def test_rejects_floor_below_alphabet_size(self):
         with pytest.raises(ValueError):
             self.config(population_floor=1)
@@ -633,3 +654,53 @@ class TestRun:
         stats, _, _ = run(config)
         assert stats[-1].max_fitness >= stats[0].max_fitness
         assert stats[-1].max_fitness == 1.0
+
+
+class TestEvolve:
+    def config(self):
+        # crossover and mutation touch half the members every generation
+        return EvolutionConfig(
+            request=UserRequest((3, 5, 7)),
+            alphabet=make_alphabet(3, [(3,), (5,), (7,)]),
+            rng_seed=21,
+            crossover_fraction=0.5,
+            mutation_fraction=0.5,
+            population_floor=12,
+            generations=8,
+        )
+
+    def test_stepping_any_yielded_state_gives_the_next(self):
+        config = self.config()
+        yielded = list(evolve(config))
+        assert [state.generation for state, _ in yielded] == list(range(9))
+        for (state, _), (expected, expected_stats) in zip(yielded, yielded[1:]):
+            stepped, stats = step_generation(state, config)
+            assert stepped.population.members == expected.population.members
+            assert stepped.rng_state == expected.rng_state
+            assert stats == expected_stats
+
+    def test_run_collects_evolve(self):
+        config = self.config()
+        stats, state, snapshots = run(config, snapshot_every=3)
+        yielded = list(evolve(config))
+        assert stats == [row for _, row in yielded]
+        assert state.population.members == yielded[-1][0].population.members
+        assert state.rng_state == yielded[-1][0].rng_state
+        kept = [(generation, kept.members) for generation, kept in snapshots]
+        assert kept == [
+            (each.generation, each.population.members)
+            for each, _ in yielded
+            if each.generation in (0, 3, 6, 8)
+        ]
+
+    def test_generations_stream_one_step_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(evolution, "step_generation", _raise_on_step)
+        generations = evolve(self.config())
+        state, stats = next(generations)
+        assert state.generation == stats.generation == 0
+        with pytest.raises(RuntimeError, match="stepped"):
+            next(generations)
+
+
+def _raise_on_step(state, config):
+    raise RuntimeError("stepped")

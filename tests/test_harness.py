@@ -149,6 +149,8 @@ class TestValidation:
             (dict(snapshot_every=-2), "snapshot_every"),
             (dict(parsimony_coefficient=float("nan")), "parsimony_coefficient"),
             (dict(parsimony_coefficient=float("inf")), "parsimony_coefficient"),
+            (dict(attribute_max=10**400), "attribute_max"),
+            (dict(attribute_min=-(10**400)), "attribute_max"),
         ],
     )
     def test_each_rule_names_its_key(self, overrides, fragment):
