@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .core import Population
 
@@ -94,16 +95,14 @@ def per_site_entropy(counts: dict[int, int], alphabet_size: int) -> float:
     return min(1.0, max(0.0, entropy))
 
 
-def _rows_and_reach(population: Population) -> tuple[list, list[int]]:
-    """Member symbol tuples, longest first, and the sample size of every site.
+def _rows_and_reach(rows: Iterable[Sequence[int]]) -> tuple[list, list[int]]:
+    """Member symbol rows, longest first, and the sample size of every site.
 
-    reach[site] counts the members long enough to reach `site` (1-based;
+    reach[site] counts the rows long enough to reach `site` (1-based;
     reach[0] is unused).  Because the rows are sorted by length, the
-    members reaching a site are exactly rows[:reach[site]].
+    rows reaching a site are exactly rows[:reach[site]].
     """
-    rows = sorted(
-        (member.symbols for member in population.members), key=len, reverse=True
-    )
+    rows = sorted(rows, key=len, reverse=True)
     histogram = Counter(map(len, rows))
     reach = [0] * (len(rows[0]) + 1)
     running = 0
@@ -111,6 +110,15 @@ def _rows_and_reach(population: Population) -> tuple[list, list[int]]:
         running += histogram[site]
         reach[site] = running
     return rows, reach
+
+
+def _unmeasurable(reach: list[int], alphabet_size: int) -> UnmeasurablePopulationError:
+    """The error for rows whose site 1 has fewer than alphabet_size samples."""
+    return UnmeasurablePopulationError(
+        f"no site has sample size >= {alphabet_size} * site; "
+        "population is too small to measure",
+        {site: reach[site] for site in range(1, len(reach))},
+    )
 
 
 def _measurable_prefix(reach: list[int], alphabet_size: int) -> int:
@@ -132,7 +140,7 @@ def calculable_length(population: Population) -> int:
     """
     if len(population) == 0:
         raise ValueError("calculable length of an empty population is undefined")
-    _, reach = _rows_and_reach(population)
+    _, reach = _rows_and_reach(member.symbols for member in population.members)
     return _measurable_prefix(reach, population.alphabet.size)
 
 
@@ -145,14 +153,10 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
     if len(population) == 0:
         raise ValueError("complexity of an empty population is undefined")
     alphabet_size = population.alphabet.size
-    rows, reach = _rows_and_reach(population)
+    rows, reach = _rows_and_reach(member.symbols for member in population.members)
     measured = _measurable_prefix(reach, alphabet_size)
     if measured == 0:
-        raise UnmeasurablePopulationError(
-            f"no site has sample size >= {alphabet_size} * site; "
-            "population is too small to measure",
-            {site: reach[site] for site in range(1, len(reach))},
-        )
+        raise _unmeasurable(reach, alphabet_size)
     entropies = tuple(
         per_site_entropy(
             Counter(map(itemgetter(site - 1), rows[: reach[site]])), alphabet_size

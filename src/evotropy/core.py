@@ -83,6 +83,23 @@ class AgentSequence:
         return len(self.symbols)
 
 
+def _check_symbols(members: Sequence[AgentSequence], size: int) -> None:
+    """Raise ValueError unless every symbol of the members lies in range(size)."""
+    # one C-speed pass collects the distinct symbols; only failing members
+    # are walked, so the message names the first bad symbol
+    distinct = set(chain.from_iterable(member.symbols for member in members))
+    if distinct and (min(distinct) < 0 or max(distinct) >= size):
+        bad = next(
+            symbol
+            for member in members
+            for symbol in member.symbols
+            if not 0 <= symbol < size
+        )
+        raise ValueError(
+            f"symbol {bad} is not a valid agent id for an alphabet of size {size}"
+        )
+
+
 @dataclass(frozen=True)
 class Population:
     """A multiset of agent sequences over one shared alphabet.
@@ -97,21 +114,22 @@ class Population:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
-        size = self.alphabet.size
-        # one C-speed pass collects the distinct symbols; only a failing
-        # population is walked, so the message names the first bad symbol
-        distinct = set(chain.from_iterable(member.symbols for member in self.members))
-        if distinct and (min(distinct) < 0 or max(distinct) >= size):
-            bad = next(
-                symbol
-                for member in self.members
-                for symbol in member.symbols
-                if not 0 <= symbol < size
-            )
-            raise ValueError(
-                f"symbol {bad} is not a valid agent id for an "
-                f"alphabet of size {size}"
-            )
+        _check_symbols(self.members, self.alphabet.size)
+
+    @classmethod
+    def _trusted(
+        cls, members: tuple[AgentSequence, ...], alphabet: Alphabet
+    ) -> "Population":
+        """Build without the symbol check, for members known to be valid.
+
+        The generation loop builds every population from members of a
+        checked one and symbols it draws below alphabet.size; the
+        constructor and from_rows, which take outside input, keep the check.
+        """
+        population = object.__new__(cls)
+        object.__setattr__(population, "members", members)
+        object.__setattr__(population, "alphabet", alphabet)
+        return population
 
     @classmethod
     def from_rows(

@@ -17,7 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import truediv
-from statistics import fmean
 from typing import Iterator, Sequence
 
 from .complexity import UnmeasurablePopulationError, physical_complexity_variable
@@ -237,13 +236,22 @@ def _score(symbols: tuple[int, ...], gaps: list[list[int]]) -> float:
     return 1.0 / (1.0 + sum(map(min, rows[0], *rows)))
 
 
-def _scores(members: Sequence[AgentSequence], gaps: list[list[int]]) -> list[float]:
-    """Fitness of every member, each distinct symbol run scored once."""
+def _scores(
+    members: Sequence[AgentSequence],
+    gaps: list[list[int]],
+    known: dict[tuple[int, ...], float],
+) -> tuple[list[float], dict[tuple[int, ...], float]]:
+    """Fitness of every member, and the {symbols: score} table read from.
+
+    Each distinct symbol run is scored once, and not at all when `known`
+    (the previous generation's table) already holds it.
+    """
     rows = [member.symbols for member in members]
     scores = dict.fromkeys(rows)
     for symbols in scores:
-        scores[symbols] = _score(symbols, gaps)
-    return list(map(scores.__getitem__, rows))
+        score = known.get(symbols)
+        scores[symbols] = _score(symbols, gaps) if score is None else score
+    return list(map(scores.__getitem__, rows)), scores
 
 
 def fitness(
@@ -328,7 +336,8 @@ def select(
             for _ in range(target_size)
         ]
     )
-    return Population(chosen, population.alphabet)
+    # every member comes from a checked population over the same alphabet
+    return Population._trusted(chosen, population.alphabet)
 
 
 def crossover_pair(
@@ -396,6 +405,21 @@ def target_population_size(
     return max(floor, math.ceil(alphabet_size * mean_length))
 
 
+def _mean(values: Sequence[float]) -> float:
+    # the float statistics.fmean returns, without importing statistics
+    return math.fsum(values) / len(values)
+
+
+@dataclass(slots=True)
+class _RunState:
+    """What evolve keeps from one step to the next: the live Random, so no
+    step rebuilds it from rng_state, and the {symbols: raw fitness} table
+    of the last population scored."""
+
+    rng: random.Random
+    scores: dict[tuple[int, ...], float]
+
+
 def _stats_for(
     generation: int, raw_fitness: Sequence[float], population: Population
 ) -> GenerationStats:
@@ -409,8 +433,8 @@ def _stats_for(
     return GenerationStats(
         generation=generation,
         max_fitness=max(raw_fitness),
-        mean_fitness=fmean(raw_fitness),
-        mean_length=fmean([len(member.symbols) for member in population.members]),
+        mean_fitness=_mean(raw_fitness),
+        mean_length=_mean([len(member.symbols) for member in population.members]),
         population_size=len(population),
         calculable_length=measured,
         complexity=complexity,
@@ -419,7 +443,7 @@ def _stats_for(
 
 
 def step_generation(
-    state: EvolutionState, config: EvolutionConfig
+    state: EvolutionState, config: EvolutionConfig, *, _run: _RunState | None = None
 ) -> tuple[EvolutionState, GenerationStats]:
     """Advance one generation: evaluate, select, recombine, mutate, measure.
 
@@ -430,16 +454,28 @@ def step_generation(
     (crossover children included), then the complexity report of the new
     population.  The returned stats carry the raw fitness of the
     evaluated parents together with the shape of the population they
-    produced.
-    """
-    rng = random.Random()
-    rng.setstate(state.rng_state)
-    members = state.population.members
-    alphabet = config.alphabet
+    produced.  Raises ValueError when the state's population is not over
+    config.alphabet.
 
-    raw = _scores(members, config.gaps)
+    `_run` is evolve's per-run state; without it the step rebuilds the
+    Random from state.rng_state and scores every member afresh, which
+    gives the same result.
+    """
+    alphabet = config.alphabet
+    # the populations built below skip the symbol check: they hold only
+    # members of this one and symbols drawn below alphabet.size
+    if state.population.alphabet != alphabet:
+        raise ValueError("the state's population is not over the config's alphabet")
+    if _run is None:
+        rng = random.Random()
+        rng.setstate(state.rng_state)
+        _run = _RunState(rng, {})
+    rng = _run.rng
+    members = state.population.members
+
+    raw, _run.scores = _scores(members, config.gaps, _run.scores)
     lengths = [len(member.symbols) for member in members]
-    mean_length = fmean(lengths)
+    mean_length = _mean(lengths)
     adjusted = parsimony_adjusted_fitness(
         raw, lengths, mean_length, config.parsimony_coefficient
     )
@@ -462,7 +498,7 @@ def step_generation(
     for index in sample_indices(rng, len(survivors), mutated):
         survivors[index] = mutate(survivors[index], alphabet, rng)
 
-    next_population = Population(tuple(survivors), alphabet)
+    next_population = Population._trusted(tuple(survivors), alphabet)
     stats = _stats_for(state.generation + 1, raw, next_population)
     next_state = EvolutionState(
         generation=state.generation + 1,
@@ -478,7 +514,9 @@ def evolve(config: EvolutionConfig) -> Iterator[tuple[EvolutionState, Generation
     The initial population holds population_floor members with lengths
     drawn uniformly from INITIAL_LENGTH_RANGE and uniformly random
     symbols.  Yields (state, stats) for generation 0, the freshly seeded
-    population, then after each of config.generations steps.
+    population, then after each of config.generations steps.  The loop
+    owns the live Random and the last generation's scores and hands both
+    to every step.
     """
     rng = random.Random(config.rng_seed)
     low, high = INITIAL_LENGTH_RANGE
@@ -492,9 +530,11 @@ def evolve(config: EvolutionConfig) -> Iterator[tuple[EvolutionState, Generation
         )
     population = Population(tuple(members), config.alphabet)
     state = EvolutionState(0, population, rng.getstate())
-    yield state, _stats_for(0, _scores(members, config.gaps), population)
+    raw, scores = _scores(members, config.gaps, {})
+    run_state = _RunState(rng, scores)
+    yield state, _stats_for(0, raw, population)
     for _ in range(config.generations):
-        state, stats = step_generation(state, config)
+        state, stats = step_generation(state, config, _run=run_state)
         yield state, stats
 
 

@@ -16,7 +16,15 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .core import Agent, Alphabet, Population, UserRequest
+from .complexity import _rows_and_reach, _unmeasurable
+from .core import (
+    Agent,
+    AgentSequence,
+    Alphabet,
+    Population,
+    UserRequest,
+    _check_symbols,
+)
 from .evolution import (
     ConfigError,
     EvolutionConfig,
@@ -320,6 +328,11 @@ def read_population_file(path) -> Population:
     non-blank line is one member as space-separated agent ids.  The
     returned population uses a synthetic alphabet (attributes are not
     recorded in the format), which is all the complexity measures need.
+    The alphabet is built only when it has no more agents than the file
+    has symbols, so its size never outgrows the file.  A larger header
+    leaves site 1 short of samples (there are fewer rows than agents),
+    and the UnmeasurablePopulationError the measure would raise is
+    raised here instead, from the rows.
     """
     text = Path(path).read_text(encoding="ascii")
     header: int | None = None
@@ -356,11 +369,16 @@ def read_population_file(path) -> Population:
         raise ConfigError("population file is missing the alphabet_size header")
     if not rows:
         raise ConfigError("population file has no member rows")
-    alphabet = Alphabet(tuple(Agent(index, (0,)) for index in range(header)))
     try:
-        return Population.from_rows(alphabet, rows)
+        if header <= sum(map(len, rows)):
+            alphabet = Alphabet(tuple(Agent(index, (0,)) for index in range(header)))
+            return Population.from_rows(alphabet, rows)
+        _check_symbols(tuple(map(AgentSequence, rows)), header)
     except ValueError as error:
         raise ConfigError(str(error)) from None
+    # more agents than symbols read means more than rows, so site 1 lacks
+    # samples; say so from the rows rather than build the alphabet
+    raise _unmeasurable(_rows_and_reach(rows)[1], header)
 
 
 def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:

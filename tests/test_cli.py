@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,27 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "unmeasurable" in err
         assert "site 1: sample size 2" in err
+
+    def test_header_beyond_the_rows_is_reported_without_building_the_alphabet(
+        self, tmp_path, capsys
+    ):
+        text = "alphabet_size=2000000\n0 1\n1999999\n5 6 7\n"
+        population = write(tmp_path, "pop.txt", text)
+        tracemalloc.start()
+        try:
+            code = main(["analyze", "--population", str(population)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "unmeasurable population: no site has sample size >= 2000000 * site; "
+            "population is too small to measure\n"
+            "  site 1: sample size 3\n"
+            "  site 2: sample size 2\n"
+            "  site 3: sample size 1\n"
+        )
+        assert peak < 5_000_000
 
     def test_missing_population_file_is_an_io_error(self, tmp_path, capsys):
         code = main(["analyze", "--population", str(tmp_path / "absent.txt")])
@@ -354,6 +376,19 @@ class TestInternalErrors:
         config = write(tmp_path, "run.cfg", GOOD_CONFIG)
         with pytest.raises(KeyboardInterrupt):
             main(["run", "--config", str(config)])
+
+
+class TestColdStart:
+    def test_cli_import_leaves_statistics_unloaded(self):
+        # statistics pulls in decimal and fractions at every launch
+        code = (
+            "import sys, evotropy.cli; "
+            "print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "[]\n"
 
 
 class TestInstalledEntryPoint:

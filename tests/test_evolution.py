@@ -530,6 +530,24 @@ class TestStepGeneration:
         with pytest.raises(UnmeasurablePopulationError):
             physical_complexity_variable(tiny)
 
+    @pytest.mark.parametrize(
+        "attributes, rows",
+        [
+            # a symbol the config's alphabet lacks
+            ([(3,), (5,), (7,)], [[0, 2]] * 4),
+            # the config's size, other agents
+            ([(4,), (6,)], [[0, 1]] * 4),
+        ],
+    )
+    def test_rejects_a_population_over_another_alphabet(self, attributes, rows):
+        config = self.perfect_config()
+        other = make_alphabet(len(attributes), attributes)
+        state = EvolutionState(
+            0, make_population(other, rows), random.Random(5).getstate()
+        )
+        with pytest.raises(ValueError, match="config's alphabet"):
+            step_generation(state, config)
+
     def test_step_is_deterministic(self):
         config = self.perfect_config(
             crossover_fraction=0.5, mutation_fraction=0.5, rng_seed=9
@@ -693,6 +711,36 @@ class TestEvolve:
             if each.generation in (0, 3, 6, 8)
         ]
 
+    def test_each_step_scores_only_what_the_last_generation_did_not(
+        self, monkeypatch
+    ):
+        scored = []
+
+        def counting(symbols, gaps):
+            scored[-1].append(symbols)
+            return original(symbols, gaps)
+
+        def step(state, config, **run):
+            scored.append([])
+            return original_step(state, config, **run)
+
+        original, original_step = evolution._score, evolution.step_generation
+        monkeypatch.setattr(evolution, "_score", counting)
+        monkeypatch.setattr(evolution, "step_generation", step)
+        scored.append([])
+        populations = [state.population for state, _ in evolve(self.config())]
+        distinct = [
+            {member.symbols for member in population.members}
+            for population in populations
+        ]
+        # seeding scores generation 0, so its step finds every score kept
+        assert sorted(scored[0]) == sorted(distinct[0])
+        assert scored[1] == []
+        for generation in range(1, len(populations) - 1):
+            new = distinct[generation] - distinct[generation - 1]
+            assert sorted(scored[generation + 1]) == sorted(new)
+        assert any(scored[2:])
+
     def test_generations_stream_one_step_at_a_time(self, monkeypatch):
         monkeypatch.setattr(evolution, "step_generation", _raise_on_step)
         generations = evolve(self.config())
@@ -702,5 +750,5 @@ class TestEvolve:
             next(generations)
 
 
-def _raise_on_step(state, config):
+def _raise_on_step(state, config, **_):
     raise RuntimeError("stepped")

@@ -14,8 +14,10 @@ from conftest import make_alphabet, make_population
 from evotropy import (
     AgentSequence,
     EvolutionConfig,
+    Population,
     UserRequest,
     crossover_pair,
+    evolve,
     fitness,
     mutate,
     parsimony_adjusted_fitness,
@@ -319,3 +321,32 @@ class TestHelperInvariants:
         assert target >= floor
         assert target >= math.ceil(alphabet_size * mean)
         assert target == max(floor, math.ceil(alphabet_size * mean))
+
+
+@st.composite
+def small_configs(draw):
+    pool_size = draw(st.integers(min_value=2, max_value=5))
+    values = st.integers(min_value=0, max_value=9)
+    pools = draw(st.lists(st.tuples(values), min_size=pool_size, max_size=pool_size))
+    wanted = draw(st.lists(values, min_size=1, max_size=3))
+    fraction = st.floats(min_value=0.0, max_value=1.0)
+    return EvolutionConfig(
+        request=UserRequest(tuple(wanted)),
+        alphabet=make_alphabet(pool_size, pools),
+        rng_seed=draw(seeds),
+        crossover_fraction=draw(fraction),
+        mutation_fraction=draw(fraction),
+        population_floor=draw(st.integers(min_value=pool_size, max_value=12)),
+        generations=draw(st.integers(min_value=1, max_value=4)),
+        discriminating=draw(st.booleans()),
+    )
+
+
+class TestLoopBuildsValidPopulations:
+    @given(small_configs())
+    def test_every_yielded_population_passes_the_public_check(self, config):
+        # the loop builds its populations unchecked; the constructor must
+        # accept each of them as it stands
+        for state, _ in evolve(config):
+            assert state.population.alphabet == config.alphabet
+            Population(state.population.members, config.alphabet)

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import make_alphabet, make_population
 from evotropy import (
     STATS_HEADER,
     ConfigError,
     EvolutionConfig,
     GenerationStats,
     RunConfig,
+    UnmeasurablePopulationError,
     build_evolution_config,
     format_snapshot,
     format_stats_csv,
@@ -18,6 +20,7 @@ from evotropy import (
     generate_request,
     palette_color,
     parse_config,
+    physical_complexity_variable,
     read_population_file,
     render_snapshot,
     run_experiment,
@@ -438,6 +441,23 @@ class TestReadPopulationFile:
     def test_out_of_range_symbol_is_rejected(self, tmp_path):
         path = self.write(tmp_path, "alphabet_size=2\n0 5\n")
         with pytest.raises(ConfigError):
+            read_population_file(path)
+
+    def test_header_beyond_the_symbols_raises_what_the_measure_would(
+        self, tmp_path
+    ):
+        rows = [[0, 1], [8]]
+        path = self.write(tmp_path, "alphabet_size=9\n0 1\n8\n")
+        with pytest.raises(UnmeasurablePopulationError) as read:
+            read_population_file(path)
+        with pytest.raises(UnmeasurablePopulationError) as measured:
+            physical_complexity_variable(make_population(make_alphabet(9), rows))
+        assert str(read.value) == str(measured.value)
+        assert read.value.sample_sizes == measured.value.sample_sizes == {1: 2, 2: 1}
+
+    def test_out_of_range_symbol_under_a_large_header_is_rejected(self, tmp_path):
+        path = self.write(tmp_path, "alphabet_size=1000000\n0 1\n-1\n")
+        with pytest.raises(ConfigError, match="symbol -1 is not a valid agent id"):
             read_population_file(path)
 
     def test_file_without_rows_is_rejected(self, tmp_path):
