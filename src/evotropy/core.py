@@ -122,8 +122,8 @@ class Population:
     ) -> "Population":
         """Build without the symbol check, for members known to be valid.
 
-        The generation loop builds every population from members of a
-        checked one and symbols it draws below alphabet.size; the
+        The generation loop draws every symbol below alphabet.size and
+        read_population_file checks each distinct symbol it read; the
         constructor and from_rows, which take outside input, keep the check.
         """
         population = object.__new__(cls)

@@ -413,15 +413,16 @@ def _mean(values: Sequence[float]) -> float:
 @dataclass(slots=True)
 class _RunState:
     """What evolve keeps from one step to the next: the live Random, so no
-    step rebuilds it from rng_state, and the {symbols: raw fitness} table
-    of the last population scored."""
+    step rebuilds it from rng_state, the {symbols: raw fitness} table of
+    the last population scored, and the member lengths of the next one."""
 
     rng: random.Random
     scores: dict[tuple[int, ...], float]
+    lengths: list[int]
 
 
 def _stats_for(
-    generation: int, raw_fitness: Sequence[float], population: Population
+    generation: int, raw: Sequence[float], population: Population, lengths: list[int]
 ) -> GenerationStats:
     try:
         report = physical_complexity_variable(population)
@@ -432,9 +433,9 @@ def _stats_for(
         measured, complexity, efficiency = 0, None, None
     return GenerationStats(
         generation=generation,
-        max_fitness=max(raw_fitness),
-        mean_fitness=_mean(raw_fitness),
-        mean_length=_mean([len(member.symbols) for member in population.members]),
+        max_fitness=max(raw),
+        mean_fitness=_mean(raw),
+        mean_length=_mean(lengths),
         population_size=len(population),
         calculable_length=measured,
         complexity=complexity,
@@ -458,26 +459,25 @@ def step_generation(
     config.alphabet.
 
     `_run` is evolve's per-run state; without it the step rebuilds the
-    Random from state.rng_state and scores every member afresh, which
-    gives the same result.
+    Random from state.rng_state, scores every member afresh and lists
+    their lengths, which gives the same result.
     """
     alphabet = config.alphabet
     # the populations built below skip the symbol check: they hold only
     # members of this one and symbols drawn below alphabet.size
     if state.population.alphabet != alphabet:
         raise ValueError("the state's population is not over the config's alphabet")
+    members = state.population.members
     if _run is None:
         rng = random.Random()
         rng.setstate(state.rng_state)
-        _run = _RunState(rng, {})
+        _run = _RunState(rng, {}, [len(member.symbols) for member in members])
     rng = _run.rng
-    members = state.population.members
 
     raw, _run.scores = _scores(members, config.gaps, _run.scores)
-    lengths = [len(member.symbols) for member in members]
-    mean_length = _mean(lengths)
+    mean_length = _mean(_run.lengths)
     adjusted = parsimony_adjusted_fitness(
-        raw, lengths, mean_length, config.parsimony_coefficient
+        raw, _run.lengths, mean_length, config.parsimony_coefficient
     )
     # the nondiscriminating baseline feeds flat weights to the same roulette
     weights = adjusted if config.discriminating else [1.0] * len(members)
@@ -499,7 +499,8 @@ def step_generation(
         survivors[index] = mutate(survivors[index], alphabet, rng)
 
     next_population = Population._trusted(tuple(survivors), alphabet)
-    stats = _stats_for(state.generation + 1, raw, next_population)
+    _run.lengths = [len(member.symbols) for member in survivors]
+    stats = _stats_for(state.generation + 1, raw, next_population, _run.lengths)
     next_state = EvolutionState(
         generation=state.generation + 1,
         population=next_population,
@@ -531,8 +532,8 @@ def evolve(config: EvolutionConfig) -> Iterator[tuple[EvolutionState, Generation
     population = Population(tuple(members), config.alphabet)
     state = EvolutionState(0, population, rng.getstate())
     raw, scores = _scores(members, config.gaps, {})
-    run_state = _RunState(rng, scores)
-    yield state, _stats_for(0, raw, population)
+    run_state = _RunState(rng, scores, [len(member.symbols) for member in members])
+    yield state, _stats_for(0, raw, population, run_state.lengths)
     for _ in range(config.generations):
         state, stats = step_generation(state, config, _run=run_state)
         yield state, stats

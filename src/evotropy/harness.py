@@ -11,6 +11,7 @@ from __future__ import annotations
 import colorsys
 import os
 import random
+import re
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
@@ -61,6 +62,8 @@ STATS_HEADER = (
 
 # the padding pixel, as P3 text
 WHITE = "255 255 255"
+
+_ARTIFACT = re.compile(r"stats\.csv|snap_[0-9]+\.(txt|ppm)")
 
 
 @dataclass(frozen=True)
@@ -321,21 +324,30 @@ def render_snapshot(rows: Sequence[Sequence[int]], alphabet_size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Symbols(dict):
+    """{token: int(token)} for one file: each distinct token converted once."""
+
+    def __missing__(self, token: str) -> int:
+        symbol = self[token] = int(token)
+        return symbol
+
+
 def read_population_file(path) -> Population:
     """Read a population from text: an alphabet_size header plus member rows.
 
     The first non-blank line must be `alphabet_size=<n>`; every following
-    non-blank line is one member as space-separated agent ids.  The
-    returned population uses a synthetic alphabet (attributes are not
-    recorded in the format), which is all the complexity measures need.
-    The alphabet is built only when it has no more agents than the file
-    has symbols, so its size never outgrows the file.  A larger header
-    leaves site 1 short of samples (there are fewer rows than agents),
-    and the UnmeasurablePopulationError the measure would raise is
-    raised here instead, from the rows.
+    non-blank line is one member as space-separated agent ids, each token
+    read as int() reads it.  The returned population uses a synthetic
+    alphabet (attributes are not recorded in the format), which is all
+    the complexity measures need.  The alphabet is built only when it has
+    no more agents than the file has symbols, so its size never outgrows
+    the file.  A larger header leaves site 1 short of samples (there are
+    fewer rows than agents), and the UnmeasurablePopulationError the
+    measure would raise is raised here instead, from the rows.
     """
     text = Path(path).read_text(encoding="ascii")
     header: int | None = None
+    symbols = _Symbols()
     rows: list[tuple[int, ...]] = []
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -359,7 +371,7 @@ def read_population_file(path) -> Population:
                 raise ConfigError("alphabet_size must be at least 2")
             continue
         try:
-            rows.append(tuple(map(int, line.split())))
+            rows.append(tuple(map(symbols.__getitem__, line.split())))
         except ValueError:
             raise ConfigError(
                 f"line {line_number}: member rows must be space-separated "
@@ -369,16 +381,28 @@ def read_population_file(path) -> Population:
         raise ConfigError("population file is missing the alphabet_size header")
     if not rows:
         raise ConfigError("population file has no member rows")
-    try:
-        if header <= sum(map(len, rows)):
-            alphabet = Alphabet(tuple(Agent(index, (0,)) for index in range(header)))
-            return Population.from_rows(alphabet, rows)
-        _check_symbols(tuple(map(AgentSequence, rows)), header)
-    except ValueError as error:
-        raise ConfigError(str(error)) from None
+    members = tuple(map(AgentSequence, rows))
+    # the table holds each distinct symbol once; only a symbol out of range
+    # walks the members, to name the first bad one in member order
+    if min(symbols.values()) < 0 or max(symbols.values()) >= header:
+        try:
+            _check_symbols(members, header)
+        except ValueError as error:
+            raise ConfigError(str(error)) from None
+    if header <= sum(map(len, rows)):
+        alphabet = Alphabet(tuple(Agent(index, (0,)) for index in range(header)))
+        return Population._trusted(members, alphabet)
     # more agents than symbols read means more than rows, so site 1 lacks
     # samples; say so from the rows rather than build the alphabet
     raise _unmeasurable(_rows_and_reach(rows)[1], header)
+
+
+def _drop_stale(stale: list[Path], written: str) -> None:
+    """Delete an earlier run's artifacts but the one just replaced."""
+    for path in stale:
+        if path.name != written:
+            path.unlink(missing_ok=True)
+    stale.clear()
 
 
 def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
@@ -386,12 +410,15 @@ def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
 
     Writes snap_<generation>.txt and .ppm at the configured cadence as
     each generation is made, then stats.csv, each file replaced whole,
-    and prints the final max fitness and efficiency.  `out_dir`
-    overrides config.output_dir when given.  Returns the stats rows.
+    and prints the final max fitness and efficiency.  Its first file in
+    place, it deletes an earlier run's stats.csv and snap_<digits>.txt and
+    .ppm files, and no other file.  `out_dir` overrides config.output_dir
+    when given.  Returns the stats rows.
     """
     evolution_config = build_evolution_config(config)
     directory = Path(out_dir if out_dir is not None else config.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    stale = [path for path in directory.iterdir() if _ARTIFACT.fullmatch(path.name)]
     stats = []
     for state, row in evolve(evolution_config):
         stats.append(row)
@@ -399,11 +426,13 @@ def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
         if snapshot_due(generation, config.snapshot_every, config.generations):
             rows = [member.symbols for member in state.population.members]
             _write_atomic(directory / f"snap_{generation}.txt", format_snapshot(rows))
+            _drop_stale(stale, f"snap_{generation}.txt")
             _write_atomic(
                 directory / f"snap_{generation}.ppm",
                 render_snapshot(rows, evolution_config.alphabet.size),
             )
     write_stats_csv(stats, directory / "stats.csv")
+    _drop_stale(stale, "stats.csv")
 
     final = stats[-1]
     print(f"final_max_fitness: {_real(final.max_fitness)}")

@@ -741,6 +741,21 @@ class TestEvolve:
             assert sorted(scored[generation + 1]) == sorted(new)
         assert any(scored[2:])
 
+    def test_each_step_is_handed_the_lengths_of_the_population_it_reads(
+        self, monkeypatch
+    ):
+        handed = []
+
+        def step(state, config, *, _run):
+            lengths = [len(member) for member in state.population.members]
+            handed.append(_run.lengths == lengths)
+            return original_step(state, config, _run=_run)
+
+        original_step = evolution.step_generation
+        monkeypatch.setattr(evolution, "step_generation", step)
+        list(evolve(self.config()))
+        assert handed == [True] * self.config().generations
+
     def test_generations_stream_one_step_at_a_time(self, monkeypatch):
         monkeypatch.setattr(evolution, "step_generation", _raise_on_step)
         generations = evolve(self.config())

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from evotropy import (
     RunConfig,
     UnmeasurablePopulationError,
     build_evolution_config,
+    evolution,
     format_snapshot,
     format_stats_csv,
     generate_alphabet,
@@ -26,6 +29,8 @@ from evotropy import (
     run_experiment,
     write_stats_csv,
 )
+from evotropy.complexity import _rows_and_reach, _unmeasurable
+from evotropy.core import Agent, AgentSequence, Alphabet, Population, _check_symbols
 
 MINIMAL = "rng_seed = 42\n"
 
@@ -440,8 +445,21 @@ class TestReadPopulationFile:
 
     def test_out_of_range_symbol_is_rejected(self, tmp_path):
         path = self.write(tmp_path, "alphabet_size=2\n0 5\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as excinfo:
             read_population_file(path)
+        assert str(excinfo.value) == (
+            "symbol 5 is not a valid agent id for an alphabet of size 2"
+        )
+
+    @pytest.mark.parametrize("rows", ["0 9\n-3\n", "0 9\n-3\n12\n"])
+    def test_the_first_bad_symbol_in_member_order_is_named(self, tmp_path, rows):
+        # 9 is not the smallest symbol read; on the second file, not the largest
+        path = self.write(tmp_path, "alphabet_size=4\n" + rows)
+        with pytest.raises(ConfigError) as excinfo:
+            read_population_file(path)
+        assert str(excinfo.value) == (
+            "symbol 9 is not a valid agent id for an alphabet of size 4"
+        )
 
     def test_header_beyond_the_symbols_raises_what_the_measure_would(
         self, tmp_path
@@ -464,6 +482,109 @@ class TestReadPopulationFile:
         path = self.write(tmp_path, "alphabet_size=2\n")
         with pytest.raises(ConfigError, match="no member rows"):
             read_population_file(path)
+
+
+def per_token_read(path) -> Population:
+    """The reader as it was before it kept a token table: int() per token."""
+    text = Path(path).read_text(encoding="ascii")
+    header = None
+    rows = []
+    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line:
+            continue
+        if header is None:
+            key, _, value = line.partition("=")
+            if key.strip() != "alphabet_size" or not value.strip():
+                raise ConfigError(
+                    f"line {line_number}: expected 'alphabet_size=<n>' header, "
+                    f"got {line!r}"
+                )
+            try:
+                header = int(value.strip())
+            except ValueError:
+                raise ConfigError(
+                    f"line {line_number}: alphabet_size expects an integer, "
+                    f"got {value.strip()!r}"
+                ) from None
+            if header < 2:
+                raise ConfigError("alphabet_size must be at least 2")
+            continue
+        try:
+            rows.append(tuple(map(int, line.split())))
+        except ValueError:
+            raise ConfigError(
+                f"line {line_number}: member rows must be space-separated "
+                f"integers, got {line!r}"
+            ) from None
+    if header is None:
+        raise ConfigError("population file is missing the alphabet_size header")
+    if not rows:
+        raise ConfigError("population file has no member rows")
+    try:
+        if header <= sum(map(len, rows)):
+            alphabet = Alphabet(tuple(Agent(index, (0,)) for index in range(header)))
+            return Population.from_rows(alphabet, rows)
+        _check_symbols(tuple(map(AgentSequence, rows)), header)
+    except ValueError as error:
+        raise ConfigError(str(error)) from None
+    raise _unmeasurable(_rows_and_reach(rows)[1], header)
+
+
+BAD_TOKENS = ("x", "1.0", "1__0", "_1", "1_", "--1", "+-2", "0x1", "1e2", "+")
+
+
+@st.composite
+def tokens(draw, high, signs, bad):
+    """One row token: an integer up to `high` as int() may spell it, with
+    one of `signs`, or, when `bad`, now and then a token int() rejects."""
+    if bad and draw(st.integers(min_value=0, max_value=9)) == 0:
+        return draw(st.sampled_from(BAD_TOKENS))
+    digits = "0" * draw(st.sampled_from((0, 0, 0, 1, 2)))
+    digits += str(draw(st.integers(min_value=0, max_value=high)))
+    if len(digits) > 1 and draw(st.booleans()):
+        cut = draw(st.integers(min_value=1, max_value=len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    return draw(st.sampled_from(signs)) + digits
+
+
+@st.composite
+def population_files(draw):
+    """Files over alphabets of 2 to 40.  Ids too large, negative ids and
+    bad tokens are each let in on about half the files, independently."""
+    header = draw(st.sampled_from((2, 3, 4, 7, 12, 40)))
+    high = header + 2 if draw(st.booleans()) else header - 1
+    signs = ("", "", "+", "-") if draw(st.booleans()) else ("", "", "+")
+    row = st.lists(tokens(high, signs, draw(st.booleans())), min_size=1, max_size=8)
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    lines = [f"alphabet_size={header}"]
+    for row in rows:
+        separator = draw(st.sampled_from((" ", "  ", "\t")))
+        lines.append(separator.join(row))
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            lines.append(" ")
+    return "\n".join(lines) + "\n"
+
+
+def read_outcome(reader, path):
+    """The rows and alphabet size read, or the error's type, text and sizes."""
+    try:
+        population = reader(path)
+    except (ConfigError, UnmeasurablePopulationError) as error:
+        return type(error), str(error), getattr(error, "sample_sizes", None)
+    # the public constructor's symbol check passes on what was read
+    Population(population.members, population.alphabet)
+    return [member.symbols for member in population.members], population.alphabet.size
+
+
+class TestReaderMatchesPerTokenReference:
+    @given(population_files())
+    def test_same_population_or_same_error(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "population.txt"
+            path.write_text(text, encoding="ascii")
+            expected = read_outcome(per_token_read, path)
+            assert read_outcome(read_population_file, path) == expected
 
 
 def small_config(**overrides):
@@ -520,6 +641,56 @@ class TestRunExperiment:
         disc = (tmp_path / "d" / "stats.csv").read_text(encoding="ascii")
         flat = (tmp_path / "n" / "stats.csv").read_text(encoding="ascii")
         assert disc != flat
+
+    def test_a_failed_run_leaves_only_its_own_snapshots(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = small_config(rng_seed=18, generations=6, snapshot_every=1)
+        clean = tmp_path / "clean"
+        run_experiment(config, out_dir=clean)
+        shared = tmp_path / "shared"
+        run_experiment(dataclasses.replace(config, rng_seed=17), out_dir=shared)
+        for name in ("notes.txt", "snap_x.txt"):
+            (shared / name).write_text("kept\n", encoding="ascii")
+
+        step, mutate = evolution.step_generation, evolution.mutate
+        making = []
+
+        def recording_step(state, config, **run):
+            making.append(state.generation + 1)
+            return step(state, config, **run)
+
+        def failing_mutate(individual, alphabet, rng):
+            if making[-1] == 3:
+                raise RuntimeError("mutation failed in generation 3")
+            return mutate(individual, alphabet, rng)
+
+        monkeypatch.setattr(evolution, "step_generation", recording_step)
+        monkeypatch.setattr(evolution, "mutate", failing_mutate)
+        with pytest.raises(RuntimeError, match="generation 3"):
+            run_experiment(config, out_dir=shared)
+
+        snapshots = [f"snap_{n}.{kind}" for n in range(3) for kind in ("txt", "ppm")]
+        assert sorted(path.name for path in shared.iterdir()) == sorted(
+            snapshots + ["notes.txt", "snap_x.txt"]
+        )
+        for name in snapshots:
+            assert (shared / name).read_bytes() == (clean / name).read_bytes()
+        assert (shared / "snap_x.txt").read_text(encoding="ascii") == "kept\n"
+
+    def test_a_rerun_replaces_the_earlier_run_s_artifacts(self, tmp_path, capsys):
+        run_experiment(small_config(generations=6), out_dir=tmp_path / "a")
+        run_experiment(small_config(generations=2), out_dir=tmp_path / "a")
+        run_experiment(small_config(generations=2), out_dir=tmp_path / "b")
+        assert sorted(path.name for path in (tmp_path / "a").iterdir()) == [
+            "snap_0.ppm",
+            "snap_0.txt",
+            "snap_2.ppm",
+            "snap_2.txt",
+            "stats.csv",
+        ]
+        for path in (tmp_path / "a").iterdir():
+            assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
     def test_invalid_config_is_rejected_before_any_output(self, tmp_path):
         with pytest.raises(ConfigError):

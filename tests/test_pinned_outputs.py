@@ -4,8 +4,9 @@ The benchmark pins the SHA-256 of stdout and of every artifact for each
 of its cases (`benchmarks/digests.json`).  These tests generate the same
 inputs with `benchmarks/workloads.py` and run them through `cli.main` in
 this process: the five full-size `paper-default` runs (the ablation
-seeds, whose `stats.csv` must never move), and the toy `control-wide`
-and `analyze-large` cases.  Neither benchmark file is modified.
+seeds, whose `stats.csv` must never move), the five `analyze-large`
+files at full and at toy size, and the toy `control-wide` cases.
+Neither benchmark file is modified.
 """
 
 import hashlib
@@ -40,6 +41,7 @@ CASES = [
     for name, size in (
         ("paper-default", "full"),
         ("control-wide", "toy"),
+        ("analyze-large", "full"),
         ("analyze-large", "toy"),
     )
     for key in workloads.ABLATION_SEEDS
