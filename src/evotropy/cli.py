@@ -76,7 +76,7 @@ def _cmd_analyze(args) -> int:
     population = read_population_file(args.population)
     report = physical_complexity_variable(population)
     print(f"members: {len(population)}")
-    print(f"alphabet_size: {population.alphabet.size}")
+    print(f"alphabet_size: {population.alphabet_size}")
     print(f"max_length: {report.max_length}")
     print(f"calculable_length: {report.calculable_length}")
     print(f"complexity: {report.complexity:.9f}")

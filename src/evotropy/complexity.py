@@ -112,15 +112,6 @@ def _rows_and_reach(rows: Iterable[Sequence[int]]) -> tuple[list, list[int]]:
     return rows, reach
 
 
-def _unmeasurable(reach: list[int], alphabet_size: int) -> UnmeasurablePopulationError:
-    """The error for rows whose site 1 has fewer than alphabet_size samples."""
-    return UnmeasurablePopulationError(
-        f"no site has sample size >= {alphabet_size} * site; "
-        "population is too small to measure",
-        {site: reach[site] for site in range(1, len(reach))},
-    )
-
-
 def _measurable_prefix(reach: list[int], alphabet_size: int) -> int:
     """The calculable length read off the per-site sample sizes."""
     best = 0
@@ -141,7 +132,7 @@ def calculable_length(population: Population) -> int:
     if len(population) == 0:
         raise ValueError("calculable length of an empty population is undefined")
     _, reach = _rows_and_reach(member.symbols for member in population.members)
-    return _measurable_prefix(reach, population.alphabet.size)
+    return _measurable_prefix(reach, population.alphabet_size)
 
 
 def physical_complexity_variable(population: Population) -> ComplexityReport:
@@ -152,11 +143,15 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
     """
     if len(population) == 0:
         raise ValueError("complexity of an empty population is undefined")
-    alphabet_size = population.alphabet.size
+    alphabet_size = population.alphabet_size
     rows, reach = _rows_and_reach(member.symbols for member in population.members)
     measured = _measurable_prefix(reach, alphabet_size)
     if measured == 0:
-        raise _unmeasurable(reach, alphabet_size)
+        raise UnmeasurablePopulationError(
+            f"no site has sample size >= {alphabet_size} * site; "
+            "population is too small to measure",
+            {site: reach[site] for site in range(1, len(reach))},
+        )
     entropies = tuple(
         per_site_entropy(
             Counter(map(itemgetter(site - 1), rows[: reach[site]])), alphabet_size

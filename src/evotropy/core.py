@@ -2,9 +2,10 @@
 
 An Alphabet is the global pool of agents available to a system; an
 individual is an AgentSequence (a non-empty run of agent ids) and a
-Population is a multiset of sequences sharing one alphabet.  Everything
-here is an immutable value object so populations can be copied, hashed
-and compared structurally.
+Population is a multiset of sequences together with the size of the
+alphabet they are drawn from, the one thing the measures need of it.
+Everything here is an immutable value object so populations can be
+copied, hashed and compared structurally.
 """
 
 from __future__ import annotations
@@ -83,60 +84,60 @@ class AgentSequence:
         return len(self.symbols)
 
 
-def _check_symbols(members: Sequence[AgentSequence], size: int) -> None:
-    """Raise ValueError unless every symbol of the members lies in range(size)."""
-    # one C-speed pass collects the distinct symbols; only failing members
-    # are walked, so the message names the first bad symbol
-    distinct = set(chain.from_iterable(member.symbols for member in members))
-    if distinct and (min(distinct) < 0 or max(distinct) >= size):
-        bad = next(
-            symbol
-            for member in members
-            for symbol in member.symbols
-            if not 0 <= symbol < size
-        )
-        raise ValueError(
-            f"symbol {bad} is not a valid agent id for an alphabet of size {size}"
-        )
-
-
 @dataclass(frozen=True)
 class Population:
-    """A multiset of agent sequences over one shared alphabet.
+    """A multiset of agent sequences over an alphabet of alphabet_size agents.
 
-    Member order carries no meaning; it is preserved only so that
-    simulations replay byte-for-byte.  Every metric treats the members
-    as an unordered collection.
+    The size bounds the symbols and is the base of every entropy measured
+    over the members.  Member order carries no meaning; it is preserved
+    only so that simulations replay byte-for-byte.  Every metric treats
+    the members as an unordered collection.
     """
 
     members: tuple[AgentSequence, ...]
-    alphabet: Alphabet
+    alphabet_size: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        _check_symbols(self.members, self.alphabet.size)
+        members = tuple(self.members)
+        object.__setattr__(self, "members", members)
+        size = self.alphabet_size
+        if size < 2:
+            raise ValueError(f"alphabet needs at least 2 agents, got {size}")
+        # one C-speed pass collects the distinct symbols; only failing members
+        # are walked, so the message names the first bad symbol
+        distinct = set(chain.from_iterable(member.symbols for member in members))
+        if distinct and (min(distinct) < 0 or max(distinct) >= size):
+            bad = next(
+                symbol
+                for member in members
+                for symbol in member.symbols
+                if not 0 <= symbol < size
+            )
+            raise ValueError(
+                f"symbol {bad} is not a valid agent id for an alphabet of size {size}"
+            )
 
     @classmethod
     def _trusted(
-        cls, members: tuple[AgentSequence, ...], alphabet: Alphabet
+        cls, members: tuple[AgentSequence, ...], alphabet_size: int
     ) -> "Population":
-        """Build without the symbol check, for members known to be valid.
+        """Build without the checks, for members known to be valid.
 
-        The generation loop draws every symbol below alphabet.size and
+        The generation loop draws every symbol below alphabet_size and
         read_population_file checks each distinct symbol it read; the
-        constructor and from_rows, which take outside input, keep the check.
+        constructor and from_rows, which take outside input, keep the checks.
         """
         population = object.__new__(cls)
         object.__setattr__(population, "members", members)
-        object.__setattr__(population, "alphabet", alphabet)
+        object.__setattr__(population, "alphabet_size", alphabet_size)
         return population
 
     @classmethod
     def from_rows(
-        cls, alphabet: Alphabet, rows: Iterable[Sequence[int]]
+        cls, alphabet_size: int, rows: Iterable[Sequence[int]]
     ) -> "Population":
         """Build a population from plain integer rows, one member per row."""
-        return cls(tuple(AgentSequence(tuple(row)) for row in rows), alphabet)
+        return cls(tuple(AgentSequence(tuple(row)) for row in rows), alphabet_size)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -107,12 +107,22 @@ class EvolutionConfig:
         _check_smallest_weight(self)
 
 
+def _longest_excess(generations: int) -> int:
+    """A bound on how far a member outgrows the mean length, in symbols.
+
+    A member starts at most INITIAL_LENGTH_RANGE[1] long and gains one
+    symbol per generation at most, so every parsimony divisor is at most
+    1 + coefficient * this.
+    """
+    return INITIAL_LENGTH_RANGE[1] + generations
+
+
 def _check_smallest_weight(config: EvolutionConfig) -> None:
     """Reject a config whose selection weights could leave the normal floats.
 
     Every raw score is at least 1 / (1 + the largest gap-table row sum),
-    and every parsimony divisor is at most 1 + coefficient * (longest
-    initial length + generations).  Float rounding is monotone, so the
+    and every parsimony divisor is at most 1 + coefficient *
+    _longest_excess(generations).  Float rounding is monotone, so the
     bound computed here is no larger than any weight the run computes;
     a subnormal weight could round a roulette draw past the wheel.
     """
@@ -124,8 +134,7 @@ def _check_smallest_weight(config: EvolutionConfig) -> None:
             "overflows a float"
         ) from None
     coefficient = config.parsimony_coefficient
-    longest_excess = INITIAL_LENGTH_RANGE[1] + config.generations
-    lowest = lowest_raw / (1.0 + coefficient * longest_excess)
+    lowest = lowest_raw / (1.0 + coefficient * _longest_excess(config.generations))
     if lowest < sys.float_info.min:
         raise ConfigError(
             f"parsimony_coefficient {coefficient} leaves a selection weight of "
@@ -154,11 +163,8 @@ def check_settings(settings, pool_size: int) -> None:
         raise ConfigError(
             f"parsimony_coefficient must be finite and >= 0, got {coefficient}"
         )
-    # a member outgrows the mean length by fewer symbols than this (one
-    # insert per generation at most), so the penalty 1 + coefficient * excess
-    # stays finite whenever this product does
-    longest_excess = INITIAL_LENGTH_RANGE[1] + settings.generations
-    if not math.isfinite(coefficient * longest_excess):
+    # the penalty 1 + coefficient * excess stays finite whenever this does
+    if not math.isfinite(coefficient * _longest_excess(settings.generations)):
         raise ConfigError(
             f"parsimony_coefficient {coefficient} is too large for "
             f"{settings.generations} generations: the length penalty overflows"
@@ -337,7 +343,7 @@ def select(
         ]
     )
     # every member comes from a checked population over the same alphabet
-    return Population._trusted(chosen, population.alphabet)
+    return Population._trusted(chosen, population.alphabet_size)
 
 
 def crossover_pair(
@@ -455,8 +461,8 @@ def step_generation(
     (crossover children included), then the complexity report of the new
     population.  The returned stats carry the raw fitness of the
     evaluated parents together with the shape of the population they
-    produced.  Raises ValueError when the state's population is not over
-    config.alphabet.
+    produced.  Raises ValueError when the state's population records
+    another alphabet size than config.alphabet has.
 
     `_run` is evolve's per-run state; without it the step rebuilds the
     Random from state.rng_state, scores every member afresh and lists
@@ -464,8 +470,9 @@ def step_generation(
     """
     alphabet = config.alphabet
     # the populations built below skip the symbol check: they hold only
-    # members of this one and symbols drawn below alphabet.size
-    if state.population.alphabet != alphabet:
+    # members of this one, whose symbols lie below its alphabet_size, and
+    # symbols drawn below alphabet.size
+    if state.population.alphabet_size != alphabet.size:
         raise ValueError("the state's population is not over the config's alphabet")
     members = state.population.members
     if _run is None:
@@ -498,7 +505,7 @@ def step_generation(
     for index in sample_indices(rng, len(survivors), mutated):
         survivors[index] = mutate(survivors[index], alphabet, rng)
 
-    next_population = Population._trusted(tuple(survivors), alphabet)
+    next_population = Population._trusted(tuple(survivors), alphabet.size)
     _run.lengths = [len(member.symbols) for member in survivors]
     stats = _stats_for(state.generation + 1, raw, next_population, _run.lengths)
     next_state = EvolutionState(
@@ -529,7 +536,7 @@ def evolve(config: EvolutionConfig) -> Iterator[tuple[EvolutionState, Generation
                 tuple(rand_below(rng, config.alphabet.size) for _ in range(length))
             )
         )
-    population = Population(tuple(members), config.alphabet)
+    population = Population(tuple(members), config.alphabet.size)
     state = EvolutionState(0, population, rng.getstate())
     raw, scores = _scores(members, config.gaps, {})
     run_state = _RunState(rng, scores, [len(member.symbols) for member in members])

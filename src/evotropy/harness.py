@@ -3,7 +3,9 @@
 A run is described by a flat `key = value` text file.  The agent pool
 and the request are generated from the seed (on a stream separate from
 the evolution stream), so a config file plus seed pins down the whole
-experiment: two executions produce byte-identical output files.
+experiment: two executions produce byte-identical output files.  A
+population file, read for `analyze`, holds an alphabet size and member
+rows only.
 """
 
 from __future__ import annotations
@@ -17,15 +19,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .complexity import _rows_and_reach, _unmeasurable
-from .core import (
-    Agent,
-    AgentSequence,
-    Alphabet,
-    Population,
-    UserRequest,
-    _check_symbols,
-)
+from .core import Agent, AgentSequence, Alphabet, Population, UserRequest
 from .evolution import (
     ConfigError,
     EvolutionConfig,
@@ -337,13 +331,11 @@ def read_population_file(path) -> Population:
 
     The first non-blank line must be `alphabet_size=<n>`; every following
     non-blank line is one member as space-separated agent ids, each token
-    read as int() reads it.  The returned population uses a synthetic
-    alphabet (attributes are not recorded in the format), which is all
-    the complexity measures need.  The alphabet is built only when it has
-    no more agents than the file has symbols, so its size never outgrows
-    the file.  A larger header leaves site 1 short of samples (there are
-    fewer rows than agents), and the UnmeasurablePopulationError the
-    measure would raise is raised here instead, from the rows.
+    read as int() reads it.  The file records no agent attributes, and the
+    population records only the alphabet size, which is all the
+    complexity measures need; whether the rows can be measured under it
+    is the measure's to say.  Raises ConfigError on a malformed file or
+    an agent id outside range(alphabet_size).
     """
     text = Path(path).read_text(encoding="ascii")
     header: int | None = None
@@ -383,18 +375,14 @@ def read_population_file(path) -> Population:
         raise ConfigError("population file has no member rows")
     members = tuple(map(AgentSequence, rows))
     # the table holds each distinct symbol once; only a symbol out of range
-    # walks the members, to name the first bad one in member order
+    # goes on to the public constructor, which names the first bad one in
+    # member order
     if min(symbols.values()) < 0 or max(symbols.values()) >= header:
         try:
-            _check_symbols(members, header)
+            Population(members, header)
         except ValueError as error:
             raise ConfigError(str(error)) from None
-    if header <= sum(map(len, rows)):
-        alphabet = Alphabet(tuple(Agent(index, (0,)) for index in range(header)))
-        return Population._trusted(members, alphabet)
-    # more agents than symbols read means more than rows, so site 1 lacks
-    # samples; say so from the rows rather than build the alphabet
-    raise _unmeasurable(_rows_and_reach(rows)[1], header)
+    return Population._trusted(members, header)
 
 
 def _drop_stale(stale: list[Path], written: str) -> None:

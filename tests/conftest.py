@@ -17,7 +17,8 @@ def make_alphabet(size, attributes=None):
 
 
 def make_population(alphabet, rows):
-    return Population.from_rows(alphabet, rows)
+    """Population of `rows` over the size of `alphabet`."""
+    return Population.from_rows(alphabet.size, rows)
 
 
 def sample_sizes(rows, alphabet_size=2):
@@ -27,9 +28,9 @@ def sample_sizes(rows, alphabet_size=2):
     over one with more agents than there are members: no site clears
     the threshold and the error carries the size of every site.
     """
-    alphabet = make_alphabet(max(alphabet_size, len(rows) + 1))
+    population = Population.from_rows(max(alphabet_size, len(rows) + 1), rows)
     with pytest.raises(UnmeasurablePopulationError) as excinfo:
-        physical_complexity_variable(make_population(alphabet, rows))
+        physical_complexity_variable(population)
     return excinfo.value.sample_sizes
 
 

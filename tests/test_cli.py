@@ -181,6 +181,21 @@ class TestAnalyzeCommand:
         )
         assert peak < 5_000_000
 
+    def test_header_beyond_the_symbols_is_reported_by_the_measure(
+        self, tmp_path, capsys
+    ):
+        population = write(tmp_path, "pop.txt", "alphabet_size=9\n0 1\n8\n")
+        code = main(["analyze", "--population", str(population)])
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "unmeasurable population: no site has sample size >= 9 * site; "
+            "population is too small to measure\n"
+            "  site 1: sample size 2\n"
+            "  site 2: sample size 1\n"
+        )
+
     def test_missing_population_file_is_an_io_error(self, tmp_path, capsys):
         code = main(["analyze", "--population", str(tmp_path / "absent.txt")])
         assert code == EXIT_IO

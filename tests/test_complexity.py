@@ -127,7 +127,7 @@ class TestCalculableLength:
         from evotropy import Population
 
         with pytest.raises(ValueError):
-            calculable_length(Population((), alphabet3))
+            calculable_length(Population((), alphabet3.size))
 
     def test_agrees_with_naive_oracle(self, alphabet3):
         rows = [[0, 1], [1], [2, 2, 2], [0, 0], [1, 1], [2, 0], [0, 1, 2]]

@@ -79,7 +79,18 @@ class TestPopulation:
             make_population(alphabet2, [[0, 1], [1, 5, -1], [-3]])
 
     def test_empty_population_is_allowed(self, alphabet2):
-        assert len(Population((), alphabet2)) == 0
+        assert len(Population((), alphabet2.size)) == 0
+
+    def test_records_the_alphabet_size_and_no_agents(self):
+        population = Population.from_rows(3, [[0, 2]])
+        assert population.alphabet_size == 3
+        fields = [field.name for field in dataclasses.fields(Population)]
+        assert fields == ["members", "alphabet_size"]
+
+    @pytest.mark.parametrize("size", [1, 0, -2])
+    def test_rejects_an_alphabet_size_below_two(self, size):
+        with pytest.raises(ValueError, match="at least 2 agents"):
+            Population((AgentSequence((0,)),), size)
 
     def test_duplicates_are_distinct_members(self, alphabet2):
         population = make_population(alphabet2, [[0], [0], [0]])

@@ -413,7 +413,7 @@ class TestConfigAndState:
 
     def test_state_rejects_empty_population(self, alphabet2):
         with pytest.raises(ValueError):
-            EvolutionState(0, Population((), alphabet2), random.Random(0).getstate())
+            EvolutionState(0, Population((), alphabet2.size), random.Random(0).getstate())
 
     def test_stats_reject_max_below_mean(self):
         with pytest.raises(ValueError):
@@ -535,8 +535,8 @@ class TestStepGeneration:
         [
             # a symbol the config's alphabet lacks
             ([(3,), (5,), (7,)], [[0, 2]] * 4),
-            # the config's size, other agents
-            ([(4,), (6,)], [[0, 1]] * 4),
+            # another size, every symbol in range of the config's alphabet
+            ([(3,), (5,), (7,)], [[0, 1]] * 4),
         ],
     )
     def test_rejects_a_population_over_another_alphabet(self, attributes, rows):

@@ -348,5 +348,5 @@ class TestLoopBuildsValidPopulations:
         # the loop builds its populations unchecked; the constructor must
         # accept each of them as it stands
         for state, _ in evolve(config):
-            assert state.population.alphabet == config.alphabet
-            Population(state.population.members, config.alphabet)
+            assert state.population.alphabet_size == config.alphabet.size
+            Population(state.population.members, config.alphabet.size)

@@ -1,13 +1,13 @@
 import dataclasses
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_alphabet, make_population
 from evotropy import (
     STATS_HEADER,
     ConfigError,
@@ -29,8 +29,7 @@ from evotropy import (
     run_experiment,
     write_stats_csv,
 )
-from evotropy.complexity import _rows_and_reach, _unmeasurable
-from evotropy.core import Agent, AgentSequence, Alphabet, Population, _check_symbols
+from evotropy.core import Population
 
 MINIMAL = "rng_seed = 42\n"
 
@@ -413,7 +412,7 @@ class TestReadPopulationFile:
     def test_reads_header_and_rows(self, tmp_path):
         path = self.write(tmp_path, "alphabet_size=3\n0 1 2\n2 2\n")
         population = read_population_file(path)
-        assert population.alphabet.size == 3
+        assert population.alphabet_size == 3
         assert [member.symbols for member in population.members] == [
             (0, 1, 2),
             (2, 2),
@@ -461,17 +460,23 @@ class TestReadPopulationFile:
             "symbol 9 is not a valid agent id for an alphabet of size 4"
         )
 
-    def test_header_beyond_the_symbols_raises_what_the_measure_would(
-        self, tmp_path
-    ):
-        rows = [[0, 1], [8]]
-        path = self.write(tmp_path, "alphabet_size=9\n0 1\n8\n")
-        with pytest.raises(UnmeasurablePopulationError) as read:
-            read_population_file(path)
-        with pytest.raises(UnmeasurablePopulationError) as measured:
-            physical_complexity_variable(make_population(make_alphabet(9), rows))
-        assert str(read.value) == str(measured.value)
-        assert read.value.sample_sizes == measured.value.sample_sizes == {1: 2, 2: 1}
+    def test_memory_does_not_grow_with_the_header(self, tmp_path):
+        # one row of n zeros costs as much to read under a header of n as
+        # under a header of 2: the population records the size, not n agents
+        n = 50_000
+        row = " ".join(["0"] * n) + "\n"
+        peaks = []
+        for header in (n, 2):
+            path = self.write(tmp_path, f"alphabet_size={header}\n" + row)
+            tracemalloc.start()
+            try:
+                population = read_population_file(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert population.alphabet_size == header
+            peaks.append(peak)
+        assert peaks[0] < 1.5 * peaks[1]
 
     def test_out_of_range_symbol_under_a_large_header_is_rejected(self, tmp_path):
         path = self.write(tmp_path, "alphabet_size=1000000\n0 1\n-1\n")
@@ -485,7 +490,8 @@ class TestReadPopulationFile:
 
 
 def per_token_read(path) -> Population:
-    """The reader as it was before it kept a token table: int() per token."""
+    """The reader without its token table: int() per token, and the symbol
+    range checked by the constructor over every member."""
     text = Path(path).read_text(encoding="ascii")
     header = None
     rows = []
@@ -522,13 +528,9 @@ def per_token_read(path) -> Population:
     if not rows:
         raise ConfigError("population file has no member rows")
     try:
-        if header <= sum(map(len, rows)):
-            alphabet = Alphabet(tuple(Agent(index, (0,)) for index in range(header)))
-            return Population.from_rows(alphabet, rows)
-        _check_symbols(tuple(map(AgentSequence, rows)), header)
+        return Population.from_rows(header, rows)
     except ValueError as error:
         raise ConfigError(str(error)) from None
-    raise _unmeasurable(_rows_and_reach(rows)[1], header)
 
 
 BAD_TOKENS = ("x", "1.0", "1__0", "_1", "1_", "--1", "+-2", "0x1", "1e2", "+")
@@ -567,14 +569,16 @@ def population_files(draw):
 
 
 def read_outcome(reader, path):
-    """The rows and alphabet size read, or the error's type, text and sizes."""
+    """The rows and alphabet size read and what the measure makes of them,
+    or the error's type, text and sample sizes."""
     try:
         population = reader(path)
+        # the public constructor's symbol check passes on what was read
+        Population(population.members, population.alphabet_size)
+        rows = [member.symbols for member in population.members]
+        return rows, population.alphabet_size, physical_complexity_variable(population)
     except (ConfigError, UnmeasurablePopulationError) as error:
         return type(error), str(error), getattr(error, "sample_sizes", None)
-    # the public constructor's symbol check passes on what was read
-    Population(population.members, population.alphabet)
-    return [member.symbols for member in population.members], population.alphabet.size
 
 
 class TestReaderMatchesPerTokenReference:

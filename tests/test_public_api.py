@@ -2,6 +2,7 @@
 and imports nothing outside the standard library."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -57,3 +58,13 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 root = name.split(".")[0]
                 assert root in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_the_package_version_is_the_project_version():
+    # a regex, since tomllib is not in the standard library before 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    text = pyproject.read_text(encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+    assert version is not None
+    assert version.group(1) == evotropy.__version__

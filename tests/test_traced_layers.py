@@ -6,11 +6,18 @@ a captured reference silently drops out of the per-layer metrics.  These
 tests read the tracer's wrap table with `ast` (calling `install()` would
 patch the modules for the rest of the session), check that every
 wrapped attribute exists, and run the CLI with counting wrappers put in
-the same places.
+the same places.  The tracer itself runs in a subprocess, so a wrapper
+that no longer fits what it wraps fails here too.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from evotropy import cli, core, evolution, harness
 from evotropy.cli import EXIT_OK, main
@@ -108,3 +115,34 @@ def test_an_analysis_reaches_every_layer_through_its_module_global(
     population.write_text("alphabet_size=2\n" + "0 1\n" * 4, encoding="ascii")
     assert main(["analyze", "--population", str(population)]) == EXIT_OK
     assert {key for key in ANALYZE_PATH if calls[key] == 0} == set()
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_the_tracer_runs_the_cli_and_writes_its_spans(tmp_path, command):
+    if command == "run":
+        config = tmp_path / "run.cfg"
+        config.write_text(RUN_CONFIG, encoding="ascii")
+        argv = ["run", "--config", str(config), "--output-dir", str(tmp_path / "out")]
+        layer = "evolution.step"
+    else:
+        population = tmp_path / "pop.txt"
+        population.write_text("alphabet_size=2\n" + "0 1\n" * 4, encoding="ascii")
+        argv = ["analyze", "--population", str(population)]
+        layer = "complexity.measure"
+    # the child imports the same evotropy as this test
+    source = str(Path(cli.__file__).resolve().parent.parent)
+    paths = [source, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    spans = tmp_path / "spans"
+    result = subprocess.run(
+        [sys.executable, str(TRACER), str(spans), "toy", "--", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    header = json.loads(spans.with_suffix(".json").read_text(encoding="ascii"))
+    assert header["run_id"] == "toy" and header["spans"] > 0
+    assert layer in header["names"]
+    assert spans.with_suffix(".bin").stat().st_size > 0
