@@ -131,7 +131,7 @@ def calculable_length(population: Population) -> int:
     """
     if len(population) == 0:
         raise ValueError("calculable length of an empty population is undefined")
-    _, reach = _rows_and_reach(member.symbols for member in population.members)
+    _, reach = _rows_and_reach(population.members)
     return _measurable_prefix(reach, population.alphabet_size)
 
 
@@ -144,7 +144,7 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
     if len(population) == 0:
         raise ValueError("complexity of an empty population is undefined")
     alphabet_size = population.alphabet_size
-    rows, reach = _rows_and_reach(member.symbols for member in population.members)
+    rows, reach = _rows_and_reach(population.members)
     measured = _measurable_prefix(reach, alphabet_size)
     if measured == 0:
         raise UnmeasurablePopulationError(

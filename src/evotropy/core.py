@@ -1,8 +1,9 @@
 """Domain types for populations of agent sequences.
 
 An Alphabet is the global pool of agents available to a system; an
-individual is an AgentSequence (a non-empty run of agent ids) and a
-Population is a multiset of sequences together with the size of the
+individual is a non-empty tuple of agent ids, nothing more, since the
+measures read a population as an ensemble of symbol strings.  A
+Population is a multiset of those tuples together with the size of the
 alphabet they are drawn from, the one thing the measures need of it.
 Everything here is an immutable value object so populations can be
 copied, hashed and compared structurally.
@@ -17,7 +18,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "Agent",
     "Alphabet",
-    "AgentSequence",
     "Population",
     "UserRequest",
 ]
@@ -70,47 +70,36 @@ class Alphabet:
 
 
 @dataclass(frozen=True)
-class AgentSequence:
-    """One individual: a non-empty ordered run of agent ids."""
-
-    symbols: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not self.symbols:
-            raise ValueError("agent sequence must be non-empty")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-@dataclass(frozen=True)
 class Population:
     """A multiset of agent sequences over an alphabet of alphabet_size agents.
 
-    The size bounds the symbols and is the base of every entropy measured
-    over the members.  Member order carries no meaning; it is preserved
-    only so that simulations replay byte-for-byte.  Every metric treats
-    the members as an unordered collection.
+    Each member is a non-empty tuple of agent ids; the constructor turns
+    any rows of ints into such tuples.  The size bounds the symbols and is
+    the base of every entropy measured over the members.  Member order
+    carries no meaning; it is preserved only so that simulations replay
+    byte-for-byte.  Every metric treats the members as an unordered
+    collection.
     """
 
-    members: tuple[AgentSequence, ...]
+    members: tuple[tuple[int, ...], ...]
     alphabet_size: int
 
     def __post_init__(self) -> None:
-        members = tuple(self.members)
+        members = tuple(map(tuple, self.members))
         object.__setattr__(self, "members", members)
         size = self.alphabet_size
         if size < 2:
             raise ValueError(f"alphabet needs at least 2 agents, got {size}")
+        if not all(members):
+            raise ValueError("agent sequence must be non-empty")
         # one C-speed pass collects the distinct symbols; only failing members
         # are walked, so the message names the first bad symbol
-        distinct = set(chain.from_iterable(member.symbols for member in members))
+        distinct = set(chain.from_iterable(members))
         if distinct and (min(distinct) < 0 or max(distinct) >= size):
             bad = next(
                 symbol
                 for member in members
-                for symbol in member.symbols
+                for symbol in member
                 if not 0 <= symbol < size
             )
             raise ValueError(
@@ -119,7 +108,7 @@ class Population:
 
     @classmethod
     def _trusted(
-        cls, members: tuple[AgentSequence, ...], alphabet_size: int
+        cls, members: tuple[tuple[int, ...], ...], alphabet_size: int
     ) -> "Population":
         """Build without the checks, for members known to be valid.
 
@@ -137,7 +126,7 @@ class Population:
         cls, alphabet_size: int, rows: Iterable[Sequence[int]]
     ) -> "Population":
         """Build a population from plain integer rows, one member per row."""
-        return cls(tuple(AgentSequence(tuple(row)) for row in rows), alphabet_size)
+        return cls(rows, alphabet_size)
 
     def __len__(self) -> int:
         return len(self.members)

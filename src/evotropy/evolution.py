@@ -20,7 +20,7 @@ from operator import truediv
 from typing import Iterator, Sequence
 
 from .complexity import UnmeasurablePopulationError, physical_complexity_variable
-from .core import AgentSequence, Alphabet, Population, UserRequest
+from .core import Alphabet, Population, UserRequest
 
 __all__ = [
     "INITIAL_LENGTH_RANGE",
@@ -243,7 +243,7 @@ def _score(symbols: tuple[int, ...], gaps: list[list[int]]) -> float:
 
 
 def _scores(
-    members: Sequence[AgentSequence],
+    members: Sequence[tuple[int, ...]],
     gaps: list[list[int]],
     known: dict[tuple[int, ...], float],
 ) -> tuple[list[float], dict[tuple[int, ...], float]]:
@@ -252,26 +252,25 @@ def _scores(
     Each distinct symbol run is scored once, and not at all when `known`
     (the previous generation's table) already holds it.
     """
-    rows = [member.symbols for member in members]
-    scores = dict.fromkeys(rows)
+    scores = dict.fromkeys(members)
     for symbols in scores:
         score = known.get(symbols)
         scores[symbols] = _score(symbols, gaps) if score is None else score
-    return list(map(scores.__getitem__, rows)), scores
+    return list(map(scores.__getitem__, members)), scores
 
 
 def fitness(
-    individual: AgentSequence, request: UserRequest, alphabet: Alphabet
+    symbols: tuple[int, ...], request: UserRequest, alphabet: Alphabet
 ) -> float:
-    """How closely the individual's pooled attributes cover the request.
+    """How closely the pooled attributes of a symbol run cover the request.
 
-    Every agent in the sequence contributes all of its attribute values
+    Every agent in the non-empty run contributes all of its attribute values
     to one pool; each requested value is matched against the closest
     pooled value and the absolute gaps are summed.  Returns
     1 / (1 + total gap), so exact coverage scores 1.0 and the score is
     always positive.
     """
-    return _score(individual.symbols, _gap_table(request, alphabet))
+    return _score(symbols, _gap_table(request, alphabet))
 
 
 def parsimony_adjusted_fitness(
@@ -347,8 +346,8 @@ def select(
 
 
 def crossover_pair(
-    parent1: AgentSequence, parent2: AgentSequence, rng: random.Random
-) -> tuple[AgentSequence, AgentSequence]:
+    parent1: tuple[int, ...], parent2: tuple[int, ...], rng: random.Random
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """One-point crossover at a cut both parents share.
 
     The cut is drawn uniformly from [1, min(len) - 1] and the tails are
@@ -360,14 +359,12 @@ def crossover_pair(
     if shorter < 2:
         return parent1, parent2
     cut = 1 + rand_below(rng, shorter - 1)
-    child1 = AgentSequence(parent1.symbols[:cut] + parent2.symbols[cut:])
-    child2 = AgentSequence(parent2.symbols[:cut] + parent1.symbols[cut:])
-    return child1, child2
+    return parent1[:cut] + parent2[cut:], parent2[:cut] + parent1[cut:]
 
 
 def mutate(
-    individual: AgentSequence, alphabet: Alphabet, rng: random.Random
-) -> AgentSequence:
+    symbols: tuple[int, ...], alphabet: Alphabet, rng: random.Random
+) -> tuple[int, ...]:
     """Apply one point mutation: insert, replace or delete, chosen uniformly.
 
     Deleting from a length-1 individual is re-mapped to replace so no
@@ -375,23 +372,20 @@ def mutate(
     other alphabet symbols, so the output always differs from the input
     in exactly one edit.
     """
-    symbols = individual.symbols
     kind = _MUTATION_KINDS[rand_below(rng, 3)]
     if kind == "delete" and len(symbols) == 1:
         kind = "replace"
     if kind == "insert":
         position = rand_below(rng, len(symbols) + 1)
         symbol = rand_below(rng, alphabet.size)
-        return AgentSequence(symbols[:position] + (symbol,) + symbols[position:])
+        return symbols[:position] + (symbol,) + symbols[position:]
     if kind == "replace":
         position = rand_below(rng, len(symbols))
         offset = 1 + rand_below(rng, alphabet.size - 1)
         symbol = (symbols[position] + offset) % alphabet.size
-        return AgentSequence(
-            symbols[:position] + (symbol,) + symbols[position + 1 :]
-        )
+        return symbols[:position] + (symbol,) + symbols[position + 1 :]
     position = rand_below(rng, len(symbols))
-    return AgentSequence(symbols[:position] + symbols[position + 1 :])
+    return symbols[:position] + symbols[position + 1 :]
 
 
 def target_population_size(
@@ -478,7 +472,7 @@ def step_generation(
     if _run is None:
         rng = random.Random()
         rng.setstate(state.rng_state)
-        _run = _RunState(rng, {}, [len(member.symbols) for member in members])
+        _run = _RunState(rng, {}, list(map(len, members)))
     rng = _run.rng
 
     raw, _run.scores = _scores(members, config.gaps, _run.scores)
@@ -506,7 +500,7 @@ def step_generation(
         survivors[index] = mutate(survivors[index], alphabet, rng)
 
     next_population = Population._trusted(tuple(survivors), alphabet.size)
-    _run.lengths = [len(member.symbols) for member in survivors]
+    _run.lengths = list(map(len, survivors))
     stats = _stats_for(state.generation + 1, raw, next_population, _run.lengths)
     next_state = EvolutionState(
         generation=state.generation + 1,
@@ -532,14 +526,12 @@ def evolve(config: EvolutionConfig) -> Iterator[tuple[EvolutionState, Generation
     for _ in range(config.population_floor):
         length = rand_int(rng, low, high)
         members.append(
-            AgentSequence(
-                tuple(rand_below(rng, config.alphabet.size) for _ in range(length))
-            )
+            tuple(rand_below(rng, config.alphabet.size) for _ in range(length))
         )
     population = Population(tuple(members), config.alphabet.size)
     state = EvolutionState(0, population, rng.getstate())
     raw, scores = _scores(members, config.gaps, {})
-    run_state = _RunState(rng, scores, [len(member.symbols) for member in members])
+    run_state = _RunState(rng, scores, list(map(len, members)))
     yield state, _stats_for(0, raw, population, run_state.lengths)
     for _ in range(config.generations):
         state, stats = step_generation(state, config, _run=run_state)

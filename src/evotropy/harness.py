@@ -19,7 +19,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .core import Agent, AgentSequence, Alphabet, Population, UserRequest
+from .core import Agent, Alphabet, Population, UserRequest
 from .evolution import (
     ConfigError,
     EvolutionConfig,
@@ -373,16 +373,15 @@ def read_population_file(path) -> Population:
         raise ConfigError("population file is missing the alphabet_size header")
     if not rows:
         raise ConfigError("population file has no member rows")
-    members = tuple(map(AgentSequence, rows))
     # the table holds each distinct symbol once; only a symbol out of range
     # goes on to the public constructor, which names the first bad one in
     # member order
     if min(symbols.values()) < 0 or max(symbols.values()) >= header:
         try:
-            Population(members, header)
+            Population(rows, header)
         except ValueError as error:
             raise ConfigError(str(error)) from None
-    return Population._trusted(members, header)
+    return Population._trusted(tuple(rows), header)
 
 
 def _drop_stale(stale: list[Path], written: str) -> None:
@@ -412,7 +411,7 @@ def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
         stats.append(row)
         generation = state.generation
         if snapshot_due(generation, config.snapshot_every, config.generations):
-            rows = [member.symbols for member in state.population.members]
+            rows = state.population.members
             _write_atomic(directory / f"snap_{generation}.txt", format_snapshot(rows))
             _drop_stale(stale, f"snap_{generation}.txt")
             _write_atomic(

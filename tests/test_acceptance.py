@@ -17,7 +17,6 @@ from scipy.stats import chisquare, spearmanr
 import oracle
 from conftest import make_alphabet, make_population
 from evotropy import (
-    AgentSequence,
     RunConfig,
     UnmeasurablePopulationError,
     UserRequest,
@@ -226,9 +225,7 @@ def test_criterion_7_operator_invariants(announce):
 
     def random_sequence(alphabet_size, max_length=8):
         length = rng.randint(1, max_length)
-        return AgentSequence(
-            tuple(rng.randrange(alphabet_size) for _ in range(length))
-        )
+        return tuple(rng.randrange(alphabet_size) for _ in range(length))
 
     # crossover: conservation of total length and of the symbol multiset,
     # and no empty children -- 10,000 random pairs
@@ -245,9 +242,7 @@ def test_criterion_7_operator_invariants(announce):
         if len(child1) + len(child2) != len(parent1) + len(parent2):
             ok, detail = False, f"crossover case {case}: length not conserved"
             break
-        if Counter(child1.symbols) + Counter(child2.symbols) != Counter(
-            parent1.symbols
-        ) + Counter(parent2.symbols):
+        if Counter(child1) + Counter(child2) != Counter(parent1) + Counter(parent2):
             ok, detail = False, f"crossover case {case}: symbols not conserved"
             break
 
@@ -261,12 +256,10 @@ def test_criterion_7_operator_invariants(announce):
             if len(mutant) < 1:
                 ok, detail = False, f"mutation case {case}: empty result"
                 break
-            if not oracle.is_single_edit(
-                list(individual.symbols), list(mutant.symbols)
-            ):
+            if not oracle.is_single_edit(list(individual), list(mutant)):
                 ok, detail = False, f"mutation case {case}: not a single edit"
                 break
-            if any(not 0 <= s < alphabet_size for s in mutant.symbols):
+            if any(not 0 <= s < alphabet_size for s in mutant):
                 ok, detail = False, f"mutation case {case}: symbol out of range"
                 break
 
@@ -282,7 +275,7 @@ def test_criterion_7_operator_invariants(announce):
             weights = [rng.uniform(0.01, 1.0) for _ in rows]
             chosen = select(population, weights, 20, rng)
             allowed = {tuple(row) for row in rows}
-            if any(member.symbols not in allowed for member in chosen.members):
+            if any(member not in allowed for member in chosen.members):
                 ok, detail = False, f"selection case {case}: member from nowhere"
                 break
             if len(chosen) != 20:
@@ -309,7 +302,7 @@ def test_criterion_7_operator_invariants(announce):
                 break
             pooled = {
                 value
-                for symbol in individual.symbols
+                for symbol in individual
                 for value in alphabet.agents[symbol].attributes
             }
             covered = all(value in pooled for value in request.required)
@@ -325,7 +318,7 @@ def test_criterion_8_randomness_calibration(announce):
     # the length delta identifies the kind (+1 insert, 0 replace, -1 delete)
     rng = random.Random(2218)
     alphabet = make_alphabet(4)
-    individual = AgentSequence(tuple(range(4)) + tuple(range(4)) + (0, 1))
+    individual = tuple(range(4)) + tuple(range(4)) + (0, 1)
     assert len(individual) == 10
     deltas = {-1: 0, 0: 0, 1: 0}
     draws = 30_000
@@ -340,7 +333,7 @@ def test_criterion_8_randomness_calibration(announce):
     chosen = select(population, [1.0] * 8, 10_000, random.Random(5150))
     counts = [0] * 8
     for member in chosen.members:
-        counts[member.symbols[0]] += 1
+        counts[member[0]] += 1
     p_value = chisquare(counts).pvalue
     roulette_ok = p_value > 0.01
 

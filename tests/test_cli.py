@@ -196,6 +196,17 @@ class TestAnalyzeCommand:
             "  site 2: sample size 1\n"
         )
 
+    def test_unmeasurable_report_lists_the_first_ten_sites(self, tmp_path, capsys):
+        # one member of 50 sites: every site has one sample, below 2 * site
+        population = write(tmp_path, "pop.txt", "alphabet_size=2\n" + "0 " * 50)
+        code = main(["analyze", "--population", str(population)])
+        assert code == EXIT_RUNTIME
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 12
+        assert lines[0].startswith("unmeasurable population: ")
+        assert lines[1:11] == [f"  site {site}: sample size 1" for site in range(1, 11)]
+        assert lines[11] == "  ... and 40 more sites"
+
     def test_missing_population_file_is_an_io_error(self, tmp_path, capsys):
         code = main(["analyze", "--population", str(tmp_path / "absent.txt")])
         assert code == EXIT_IO

@@ -5,7 +5,6 @@ import pytest
 from conftest import make_alphabet, make_population
 from evotropy import (
     Agent,
-    AgentSequence,
     Alphabet,
     Population,
     UserRequest,
@@ -46,26 +45,36 @@ class TestAlphabet:
             Alphabet((Agent(0, (0,)), Agent(2, (1,))))
 
 
-class TestAgentSequence:
+class TestPopulationMembers:
+    """A member is a non-empty tuple of agent ids and nothing more."""
+
     def test_length(self):
-        assert len(AgentSequence((0, 1, 0))) == 3
+        assert len(Population.from_rows(2, [(0, 1, 0)]).members[0]) == 3
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            AgentSequence(())
+        for rows in ([()], [[0, 1], []]):
+            with pytest.raises(ValueError, match="^agent sequence must be non-empty$"):
+                Population(rows, 2)
 
     def test_normalises_to_tuple(self):
-        assert AgentSequence([0, 1]).symbols == (0, 1)
+        population = Population([[0, 1], (1,)], 2)
+        assert population.members == ((0, 1), (1,))
+        assert all(type(member) is tuple for member in population.members)
 
     def test_value_equality(self):
-        assert AgentSequence((0, 1)) == AgentSequence([0, 1])
+        assert Population([[0, 1]], 2) == Population(((0, 1),), 2)
+        assert hash(Population([[0, 1]], 2)) == hash(Population(((0, 1),), 2))
+
+    def test_symbol_range_is_checked_on_list_rows(self):
+        with pytest.raises(ValueError, match=r"^symbol 2 is not a valid agent id"):
+            Population([[0, 1], [2]], 2)
 
 
 class TestPopulation:
     def test_from_rows(self, alphabet2):
         population = make_population(alphabet2, [[0, 1], [1]])
         assert len(population) == 2
-        assert population.members == (AgentSequence((0, 1)), AgentSequence((1,)))
+        assert population.members == ((0, 1), (1,))
 
     def test_rejects_symbols_outside_alphabet(self, alphabet2):
         with pytest.raises(ValueError):
@@ -90,7 +99,7 @@ class TestPopulation:
     @pytest.mark.parametrize("size", [1, 0, -2])
     def test_rejects_an_alphabet_size_below_two(self, size):
         with pytest.raises(ValueError, match="at least 2 agents"):
-            Population((AgentSequence((0,)),), size)
+            Population(((0,),), size)
 
     def test_duplicates_are_distinct_members(self, alphabet2):
         population = make_population(alphabet2, [[0], [0], [0]])

@@ -8,7 +8,6 @@ import oracle
 from conftest import make_alphabet, make_population
 from evotropy import (
     INITIAL_LENGTH_RANGE,
-    AgentSequence,
     ConfigError,
     EvolutionConfig,
     EvolutionState,
@@ -32,7 +31,7 @@ from evotropy import (
 
 
 def symbol_rows(population):
-    return [list(member.symbols) for member in population.members]
+    return [list(member) for member in population.members]
 
 
 class TestRandomHelpers:
@@ -86,19 +85,19 @@ class TestRandomHelpers:
 class TestFitness:
     def test_exact_coverage_scores_one(self):
         alphabet = make_alphabet(2, [(3,), (5,)])
-        individual = AgentSequence((0, 1))
+        individual = (0, 1)
         assert fitness(individual, UserRequest((3, 5)), alphabet) == 1.0
 
     def test_single_gap_of_two(self):
         alphabet = make_alphabet(2, [(6,), (6,)])
-        individual = AgentSequence((0,))
+        individual = (0,)
         assert fitness(individual, UserRequest((4,)), alphabet) == pytest.approx(
             1.0 / 3.0
         )
 
     def test_gaps_sum_across_request_values(self):
         alphabet = make_alphabet(2, [(2,), (9,)])
-        individual = AgentSequence((0, 1))
+        individual = (0, 1)
         # 2 matched exactly, 7 is 2 away from 9
         assert fitness(
             individual, UserRequest((2, 7)), alphabet
@@ -106,14 +105,14 @@ class TestFitness:
 
     def test_attributes_pool_across_agents(self):
         alphabet = make_alphabet(2, [(1, 8), (4,)])
-        individual = AgentSequence((0,))
+        individual = (0,)
         # the second attribute of agent 0 covers 8 without agent 1
         assert fitness(individual, UserRequest((8,)), alphabet) == 1.0
 
     def test_duplicate_agents_do_not_change_the_score(self):
         alphabet = make_alphabet(2, [(3,), (5,)])
-        once = fitness(AgentSequence((0,)), UserRequest((4,)), alphabet)
-        thrice = fitness(AgentSequence((0, 0, 0)), UserRequest((4,)), alphabet)
+        once = fitness((0,), UserRequest((4,)), alphabet)
+        thrice = fitness((0, 0, 0), UserRequest((4,)), alphabet)
         assert once == thrice
 
 
@@ -157,13 +156,13 @@ class TestSelect:
     def test_overwhelming_weight_dominates(self, alphabet2):
         population = make_population(alphabet2, [[0, 0], [1, 1]])
         chosen = select(population, [0.9, 1e-9], 100, random.Random(7))
-        firsts = sum(1 for member in chosen.members if member.symbols == (0, 0))
+        firsts = sum(1 for member in chosen.members if member == (0, 0))
         assert firsts >= 95
 
     def test_uniform_weights_are_roughly_even(self, alphabet2):
         population = make_population(alphabet2, [[0], [1]])
         chosen = select(population, [1.0, 1.0], 10000, random.Random(8))
-        zeros = sum(1 for member in chosen.members if member.symbols == (0,))
+        zeros = sum(1 for member in chosen.members if member == (0,))
         # 3 sigma around 5000 for a fair coin over 10000 draws
         assert abs(zeros - 5000) < 150
 
@@ -177,7 +176,7 @@ class TestSelect:
         population = make_population(alphabet3, rows)
         chosen = select(population, [0.3, 0.5, 0.2], 20, random.Random(10))
         allowed = {tuple(row) for row in rows}
-        assert all(member.symbols in allowed for member in chosen.members)
+        assert all(member in allowed for member in chosen.members)
 
     def test_same_seed_means_same_outcome(self, alphabet2):
         population = make_population(alphabet2, [[0], [1], [0, 1]])
@@ -213,12 +212,12 @@ class TestSelect:
 
 class TestCrossover:
     def test_every_cut_produces_a_consistent_pair(self):
-        parent1 = AgentSequence((0, 1, 2))
-        parent2 = AgentSequence((3, 4, 5, 6, 7))
+        parent1 = (0, 1, 2)
+        parent2 = (3, 4, 5, 6, 7)
         seen = set()
         for seed in range(200):
             child1, child2 = crossover_pair(parent1, parent2, random.Random(seed))
-            seen.add((child1.symbols, child2.symbols))
+            seen.add((child1, child2))
         # cuts 1 and 2 are the only interior cuts of the shorter parent
         assert seen == {
             ((0, 4, 5, 6, 7), (3, 1, 2)),
@@ -226,23 +225,21 @@ class TestCrossover:
         }
 
     def test_pair_conserves_total_length_and_symbols(self):
-        parent1 = AgentSequence((0, 0, 1, 1))
-        parent2 = AgentSequence((2, 3))
+        parent1 = (0, 0, 1, 1)
+        parent2 = (2, 3)
         child1, child2 = crossover_pair(parent1, parent2, random.Random(13))
         assert len(child1) + len(child2) == len(parent1) + len(parent2)
-        assert Counter(child1.symbols + child2.symbols) == Counter(
-            parent1.symbols + parent2.symbols
-        )
+        assert Counter(child1 + child2) == Counter(parent1 + parent2)
 
     def test_children_swap_parent_lengths(self):
-        parent1 = AgentSequence((0, 1, 0, 1, 0))
-        parent2 = AgentSequence((1, 1))
+        parent1 = (0, 1, 0, 1, 0)
+        parent2 = (1, 1)
         child1, child2 = crossover_pair(parent1, parent2, random.Random(14))
         assert {len(child1), len(child2)} == {len(parent1), len(parent2)}
 
     def test_length_one_parent_passes_through(self):
-        parent1 = AgentSequence((0,))
-        parent2 = AgentSequence((1, 2, 3))
+        parent1 = (0,)
+        parent2 = (1, 2, 3)
         rng = random.Random(15)
         state_before = rng.getstate()
         child1, child2 = crossover_pair(parent1, parent2, rng)
@@ -251,8 +248,8 @@ class TestCrossover:
         assert rng.getstate() == state_before  # no randomness consumed
 
     def test_same_seed_means_same_children(self):
-        parent1 = AgentSequence((0, 1, 2, 3))
-        parent2 = AgentSequence((3, 2, 1, 0))
+        parent1 = (0, 1, 2, 3)
+        parent2 = (3, 2, 1, 0)
         first = crossover_pair(parent1, parent2, random.Random(16))
         second = crossover_pair(parent1, parent2, random.Random(16))
         assert first == second
@@ -261,16 +258,14 @@ class TestCrossover:
 class TestMutate:
     def test_result_is_exactly_one_edit_away(self, alphabet4):
         rng = random.Random(17)
-        individual = AgentSequence((0, 1, 2, 3, 0))
+        individual = (0, 1, 2, 3, 0)
         for _ in range(500):
             mutant = mutate(individual, alphabet4, rng)
-            assert oracle.is_single_edit(
-                list(individual.symbols), list(mutant.symbols)
-            )
+            assert oracle.is_single_edit(list(individual), list(mutant))
 
     def test_never_produces_an_empty_individual(self, alphabet2):
         rng = random.Random(18)
-        individual = AgentSequence((0,))
+        individual = (0,)
         for _ in range(300):
             mutant = mutate(individual, alphabet2, rng)
             assert len(mutant) >= 1
@@ -278,21 +273,19 @@ class TestMutate:
 
     def test_length_one_never_shrinks(self, alphabet3):
         rng = random.Random(19)
-        lengths = {
-            len(mutate(AgentSequence((1,)), alphabet3, rng)) for _ in range(300)
-        }
+        lengths = {len(mutate((1,), alphabet3, rng)) for _ in range(300)}
         assert lengths == {1, 2}
 
     def test_replacement_always_changes_the_symbol(self, alphabet2):
         rng = random.Random(20)
-        individual = AgentSequence((0, 1))
+        individual = (0, 1)
         for _ in range(400):
             mutant = mutate(individual, alphabet2, rng)
-            assert mutant.symbols != individual.symbols
+            assert mutant != individual
 
     def test_all_three_kinds_appear(self, alphabet3):
         rng = random.Random(21)
-        individual = AgentSequence((0, 1, 2, 0, 1, 2))
+        individual = (0, 1, 2, 0, 1, 2)
         deltas = Counter(
             len(mutate(individual, alphabet3, rng)) - len(individual)
             for _ in range(3000)
@@ -303,17 +296,17 @@ class TestMutate:
 
     def test_inserted_symbols_cover_the_alphabet(self, alphabet4):
         rng = random.Random(22)
-        individual = AgentSequence((0,))
+        individual = (0,)
         inserted = set()
         for _ in range(2000):
             mutant = mutate(individual, alphabet4, rng)
             if len(mutant) == 2:
-                extra = Counter(mutant.symbols) - Counter(individual.symbols)
+                extra = Counter(mutant) - Counter(individual)
                 inserted.update(extra)
         assert inserted == {0, 1, 2, 3}
 
     def test_same_seed_means_same_mutant(self, alphabet3):
-        individual = AgentSequence((2, 0, 1))
+        individual = (2, 0, 1)
         assert mutate(individual, alphabet3, random.Random(23)) == mutate(
             individual, alphabet3, random.Random(23)
         )
@@ -503,7 +496,7 @@ class TestStepGeneration:
         state = make_state(config, rows)
         next_state, _ = step_generation(state, config)
         perfect = sum(
-            1 for member in next_state.population.members if member.symbols == (0,)
+            1 for member in next_state.population.members if member == (0,)
         )
         assert perfect > 14  # expectation is 17.5 of 20
 
@@ -595,7 +588,7 @@ class TestStepGeneration:
         state = make_state(config, rows)
         next_state, _ = step_generation(state, config)
         perfect = sum(
-            1 for member in next_state.population.members if member.symbols == (0,)
+            1 for member in next_state.population.members if member == (0,)
         )
         # flat weights: a fair coin over 1000 draws, 3 sigma band
         assert abs(perfect - 500) < 50
@@ -729,10 +722,7 @@ class TestEvolve:
         monkeypatch.setattr(evolution, "step_generation", step)
         scored.append([])
         populations = [state.population for state, _ in evolve(self.config())]
-        distinct = [
-            {member.symbols for member in population.members}
-            for population in populations
-        ]
+        distinct = [set(population.members) for population in populations]
         # seeding scores generation 0, so its step finds every score kept
         assert sorted(scored[0]) == sorted(distinct[0])
         assert scored[1] == []

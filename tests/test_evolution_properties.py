@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import oracle
 from conftest import make_alphabet, make_population
 from evotropy import (
-    AgentSequence,
     EvolutionConfig,
     Population,
     UserRequest,
@@ -38,7 +37,7 @@ def sequence_pairs(draw):
     symbols = st.integers(min_value=0, max_value=alphabet_size - 1)
     first = draw(st.lists(symbols, min_size=1, max_size=8))
     second = draw(st.lists(symbols, min_size=1, max_size=8))
-    return alphabet_size, AgentSequence(tuple(first)), AgentSequence(tuple(second))
+    return alphabet_size, tuple(first), tuple(second)
 
 
 class TestCrossoverInvariants:
@@ -59,9 +58,7 @@ class TestCrossoverInvariants:
     def test_symbol_multiset_is_conserved(self, pair, seed):
         _, parent1, parent2 = pair
         child1, child2 = crossover_pair(parent1, parent2, random.Random(seed))
-        assert Counter(child1.symbols) + Counter(child2.symbols) == Counter(
-            parent1.symbols
-        ) + Counter(parent2.symbols)
+        assert Counter(child1) + Counter(child2) == Counter(parent1) + Counter(parent2)
 
     @given(sequence_pairs(), seeds)
     def test_lengths_are_swapped_not_invented(self, pair, seed):
@@ -78,7 +75,7 @@ class TestMutationInvariants:
         alphabet_size, individual, _ = pair
         alphabet = make_alphabet(alphabet_size)
         mutant = mutate(individual, alphabet, random.Random(seed))
-        assert oracle.is_single_edit(list(individual.symbols), list(mutant.symbols))
+        assert oracle.is_single_edit(list(individual), list(mutant))
 
     @given(sequence_pairs(), seeds)
     def test_never_empty_and_symbols_stay_in_range(self, pair, seed):
@@ -86,7 +83,7 @@ class TestMutationInvariants:
         alphabet = make_alphabet(alphabet_size)
         mutant = mutate(individual, alphabet, random.Random(seed))
         assert len(mutant) >= 1
-        assert all(0 <= symbol < alphabet_size for symbol in mutant.symbols)
+        assert all(0 <= symbol < alphabet_size for symbol in mutant)
 
     @given(sequence_pairs(), seeds)
     def test_length_changes_by_at_most_one(self, pair, seed):
@@ -113,7 +110,7 @@ class TestSelectionInvariants:
         chosen = select(population, weights, target, random.Random(seed))
         assert len(chosen) == target
         allowed = {tuple(row) for row in rows}
-        assert all(member.symbols in allowed for member in chosen.members)
+        assert all(member in allowed for member in chosen.members)
 
 
 def loop_select(population, adjusted_fitness, target_size, rng):
@@ -159,7 +156,7 @@ class TestSelectMatchesLoop:
         weights = [0.5, 0.25, 0.25]
         chosen = select(population, weights, 4, TopRandom())
         assert chosen.members == loop_select(population, weights, 4, TopRandom())
-        assert [member.symbols for member in chosen.members] == [(2,)] * 4
+        assert list(chosen.members) == [(2,)] * 4
 
 
 def scalar_parsimony(raw, length, mean_length, coefficient):
@@ -194,7 +191,7 @@ def pooled_fitness(individual, request, alphabet):
     """The pooled-attribute formula, scanning every pooled value per request value."""
     pool = [
         value
-        for symbol in individual.symbols
+        for symbol in individual
         for value in alphabet.agents[symbol].attributes
     ]
     total_gap = 0
@@ -221,9 +218,7 @@ class TestFitnessMatchesPooledFormula:
     def test_equal_for_any_individual(self, world, data):
         alphabet, request = world
         symbols = st.integers(min_value=0, max_value=alphabet.size - 1)
-        individual = AgentSequence(
-            tuple(data.draw(st.lists(symbols, min_size=1, max_size=10)))
-        )
+        individual = tuple(data.draw(st.lists(symbols, min_size=1, max_size=10)))
         assert fitness(individual, request, alphabet) == pooled_fitness(
             individual, request, alphabet
         )
@@ -265,8 +260,7 @@ class TestFitnessInvariants:
             data.draw(st.integers(min_value=0, max_value=len(pools) - 1))
             for _ in range(length)
         )
-        individual = AgentSequence(symbols)
-        score = fitness(individual, request, alphabet)
+        score = fitness(symbols, request, alphabet)
         assert 0.0 < score <= 1.0
         pooled = {
             value for symbol in symbols for value in alphabet.agents[symbol].attributes

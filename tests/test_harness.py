@@ -413,10 +413,7 @@ class TestReadPopulationFile:
         path = self.write(tmp_path, "alphabet_size=3\n0 1 2\n2 2\n")
         population = read_population_file(path)
         assert population.alphabet_size == 3
-        assert [member.symbols for member in population.members] == [
-            (0, 1, 2),
-            (2, 2),
-        ]
+        assert population.members == ((0, 1, 2), (2, 2))
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = self.write(tmp_path, "\nalphabet_size = 2\n\n0 1\n\n")
@@ -575,7 +572,7 @@ def read_outcome(reader, path):
         population = reader(path)
         # the public constructor's symbol check passes on what was read
         Population(population.members, population.alphabet_size)
-        rows = [member.symbols for member in population.members]
+        rows = list(population.members)
         return rows, population.alphabet_size, physical_complexity_variable(population)
     except (ConfigError, UnmeasurablePopulationError) as error:
         return type(error), str(error), getattr(error, "sample_sizes", None)
@@ -601,6 +598,22 @@ def small_config(**overrides):
     )
     values.update(overrides)
     return RunConfig(**values)
+
+
+def test_every_member_is_a_plain_symbol_tuple(tmp_path):
+    # crossover and mutation touch half the members each generation
+    config = build_evolution_config(
+        small_config(crossover_fraction=0.5, mutation_fraction=0.5)
+    )
+    members = [
+        member
+        for state, _ in evolution.evolve(config)
+        for member in state.population.members
+    ]
+    path = tmp_path / "population.txt"
+    path.write_text("alphabet_size=3\n0 1 2\n2\n 1  1 \n", encoding="ascii")
+    members.extend(read_population_file(path).members)
+    assert all(type(member) is tuple for member in members)
 
 
 class TestRunExperiment:

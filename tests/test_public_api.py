@@ -12,6 +12,7 @@ from evotropy import complexity, core, evolution, harness
 MODULES = (core, complexity, evolution, harness)
 
 REMOVED = (
+    "AgentSequence",
     "SiteDistribution",
     "SnapshotFile",
     "genotype_space_size",
