@@ -20,10 +20,6 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_IO = 3
 
-# an unmeasurable report lists the sample sizes of this many sites at most:
-# site 1 already fails, and every later site has fewer samples still
-_SHOWN_SITES = 10
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; fold those into the config code
@@ -103,13 +99,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except UnmeasurablePopulationError as error:
         print(f"unmeasurable population: {error}", file=sys.stderr)
-        sites = sorted(error.sample_sizes)
-        for site in sites[:_SHOWN_SITES]:
-            print(
-                f"  site {site}: sample size {error.sample_sizes[site]}",
-                file=sys.stderr,
-            )
-        hidden = len(sites) - _SHOWN_SITES
+        for site, size in error.sample_sizes.items():
+            print(f"  site {site}: sample size {size}", file=sys.stderr)
+        hidden = error.sites - len(error.sample_sizes)
         if hidden > 0:
             print(
                 f"  ... and {hidden} more site{'s' if hidden > 1 else ''}",

@@ -15,10 +15,12 @@ and the efficiency is the complexity achieved per measurable site.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterator
 
 from .core import Population
 
@@ -44,16 +46,24 @@ class ComplexityReport:
     max_length: int
 
 
+# an unmeasurable population's error carries the sample sizes of this many
+# sites at most: site 1 already fails, and every later site has fewer still
+_SHOWN_SITES = 10
+
+
 class UnmeasurablePopulationError(ValueError):
     """No site has enough samples for a trustworthy entropy estimate.
 
-    Carries the per-site sample sizes so callers can see how far short
-    the population falls of the alphabet_size * site threshold.
+    `sample_sizes` maps the first sites (_SHOWN_SITES at most) to their
+    sample sizes, and `sites` is the longest member's length, so callers
+    can see how far short the population falls of the alphabet_size *
+    site threshold.
     """
 
-    def __init__(self, message: str, sample_sizes: dict[int, int]):
+    def __init__(self, message: str, sample_sizes: dict[int, int], sites: int):
         super().__init__(message)
         self.sample_sizes = dict(sample_sizes)
+        self.sites = sites
 
 
 def per_site_entropy(counts: dict[int, int], alphabet_size: int) -> float:
@@ -95,31 +105,19 @@ def per_site_entropy(counts: dict[int, int], alphabet_size: int) -> float:
     return min(1.0, max(0.0, entropy))
 
 
-def _rows_and_reach(rows: Iterable[Sequence[int]]) -> tuple[list, list[int]]:
-    """Member symbol rows, longest first, and the sample size of every site.
+def _sample_sizes(rows: list, alphabet_size: int = 0) -> Iterator[int]:
+    """Sample sizes of sites 1, 2, ... of `rows`, sorted shortest first.
 
-    reach[site] counts the rows long enough to reach `site` (1-based;
-    reach[0] is unused).  Because the rows are sorted by length, the
-    rows reaching a site are exactly rows[:reach[site]].
+    The rows reaching a site are a suffix of the sorted rows, found by
+    bisection, so a size is counted only when it is asked for.  Given an
+    alphabet_size, the sizes stop before the first site with fewer than
+    alphabet_size * site samples: they cover the calculable prefix.
     """
-    rows = sorted(rows, key=len, reverse=True)
-    histogram = Counter(map(len, rows))
-    reach = [0] * (len(rows[0]) + 1)
-    running = 0
-    for site in range(len(reach) - 1, 0, -1):
-        running += histogram[site]
-        reach[site] = running
-    return rows, reach
-
-
-def _measurable_prefix(reach: list[int], alphabet_size: int) -> int:
-    """The calculable length read off the per-site sample sizes."""
-    best = 0
-    for site in range(1, len(reach)):
-        if reach[site] < alphabet_size * site:
-            break
-        best = site
-    return best
+    for site in range(1, len(rows[-1]) + 1):
+        size = len(rows) - bisect_left(rows, site, key=len)
+        if size < alphabet_size * site:
+            return
+        yield size
 
 
 def calculable_length(population: Population) -> int:
@@ -131,42 +129,44 @@ def calculable_length(population: Population) -> int:
     """
     if len(population) == 0:
         raise ValueError("calculable length of an empty population is undefined")
-    _, reach = _rows_and_reach(population.members)
-    return _measurable_prefix(reach, population.alphabet_size)
+    rows = sorted(population.members, key=len)
+    return len(list(_sample_sizes(rows, population.alphabet_size)))
 
 
 def physical_complexity_variable(population: Population) -> ComplexityReport:
     """Measure a variable-length population over its calculable prefix.
 
     Raises UnmeasurablePopulationError when no site clears the sampling
-    threshold, attaching the per-site sample sizes for diagnosis.
+    threshold, attaching the first sites' sample sizes for diagnosis.
     """
     if len(population) == 0:
         raise ValueError("complexity of an empty population is undefined")
     alphabet_size = population.alphabet_size
-    rows, reach = _rows_and_reach(population.members)
-    measured = _measurable_prefix(reach, alphabet_size)
-    if measured == 0:
+    rows = sorted(population.members, key=len)
+    sizes = list(_sample_sizes(rows, alphabet_size))
+    if not sizes:
         raise UnmeasurablePopulationError(
             f"no site has sample size >= {alphabet_size} * site; "
             "population is too small to measure",
-            {site: reach[site] for site in range(1, len(reach))},
+            dict(enumerate(islice(_sample_sizes(rows), _SHOWN_SITES), start=1)),
+            len(rows[-1]),
         )
     entropies = tuple(
         per_site_entropy(
-            Counter(map(itemgetter(site - 1), rows[: reach[site]])), alphabet_size
+            Counter(map(itemgetter(site - 1), rows[len(rows) - size :])),
+            alphabet_size,
         )
-        for site in range(1, measured + 1)
+        for site, size in enumerate(sizes, start=1)
     )
-    potential = float(measured)
+    potential = float(len(sizes))
     complexity = max(0.0, potential - sum(entropies))
     return ComplexityReport(
-        calculable_length=measured,
+        calculable_length=len(sizes),
         per_site_entropy=entropies,
         complexity=complexity,
         complexity_potential=potential,
         efficiency=complexity / potential,
-        max_length=len(rows[0]),
+        max_length=len(rows[-1]),
     )
 
 

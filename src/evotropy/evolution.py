@@ -19,7 +19,7 @@ from itertools import accumulate
 from operator import truediv
 from typing import Iterator, Sequence
 
-from .complexity import UnmeasurablePopulationError, physical_complexity_variable
+from .complexity import physical_complexity_variable
 from .core import Alphabet, Population, UserRequest
 
 __all__ = [
@@ -199,8 +199,7 @@ class GenerationStats:
     statistics of the population evaluated at the start of the step; the
     remaining fields describe the population the step produced.  The
     generation-0 row measures the freshly seeded population on both
-    counts.  complexity and efficiency are None when no site of the
-    population is measurable.
+    counts.
     """
 
     generation: int
@@ -209,8 +208,8 @@ class GenerationStats:
     mean_length: float
     population_size: int
     calculable_length: int
-    complexity: float | None
-    efficiency: float | None
+    complexity: float
+    efficiency: float
 
     def __post_init__(self) -> None:
         if self.max_fitness < self.mean_fitness - 1e-12:
@@ -424,22 +423,19 @@ class _RunState:
 def _stats_for(
     generation: int, raw: Sequence[float], population: Population, lengths: list[int]
 ) -> GenerationStats:
-    try:
-        report = physical_complexity_variable(population)
-        measured = report.calculable_length
-        complexity: float | None = report.complexity
-        efficiency: float | None = report.efficiency
-    except UnmeasurablePopulationError:
-        measured, complexity, efficiency = 0, None, None
+    # never unmeasurable: check_settings keeps population_floor >= the pool
+    # size, no population the loop measures is smaller than the floor, and
+    # every member reaches site 1, so site 1 has alphabet_size samples or more
+    report = physical_complexity_variable(population)
     return GenerationStats(
         generation=generation,
         max_fitness=max(raw),
         mean_fitness=_mean(raw),
         mean_length=_mean(lengths),
         population_size=len(population),
-        calculable_length=measured,
-        complexity=complexity,
-        efficiency=efficiency,
+        calculable_length=report.calculable_length,
+        complexity=report.complexity,
+        efficiency=report.efficiency,
     )
 
 

@@ -133,9 +133,9 @@ def _convert(key: str, text: str, line_number: int):
             return float(text)
         return int(text)
     except ValueError:
-        kind = "number" if key in _FLOAT_KEYS else "integer"
+        kind = "a number" if key in _FLOAT_KEYS else "an integer"
         raise ConfigError(
-            f"line {line_number}: {key} expects an {kind}, got {text!r}"
+            f"line {line_number}: {key} expects {kind}, got {text!r}"
         ) from None
 
 
@@ -232,9 +232,7 @@ def _real(value: float) -> str:
 def format_stats_csv(stats: list[GenerationStats]) -> str:
     """Render stats rows as CSV text.
 
-    Column order matches STATS_HEADER; reals carry 9 decimal places; the
-    complexity and efficiency fields are left empty on rows where the
-    population was unmeasurable.
+    Column order matches STATS_HEADER; reals carry 9 decimal places.
     """
     lines = [STATS_HEADER]
     for row in stats:
@@ -247,8 +245,8 @@ def format_stats_csv(stats: list[GenerationStats]) -> str:
                     _real(row.mean_length),
                     str(row.population_size),
                     str(row.calculable_length),
-                    "" if row.complexity is None else _real(row.complexity),
-                    "" if row.efficiency is None else _real(row.efficiency),
+                    _real(row.complexity),
+                    _real(row.efficiency),
                 )
             )
         )
@@ -423,8 +421,5 @@ def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
 
     final = stats[-1]
     print(f"final_max_fitness: {_real(final.max_fitness)}")
-    if final.efficiency is None:
-        print("final_efficiency: unmeasurable")
-    else:
-        print(f"final_efficiency: {_real(final.efficiency)}")
+    print(f"final_efficiency: {_real(final.efficiency)}")
     return stats

@@ -22,11 +22,12 @@ def make_population(alphabet, rows):
 
 
 def sample_sizes(rows, alphabet_size=2):
-    """Per-site sample sizes as the measure counts them.
+    """Per-site sample sizes of the first 10 sites, as the measure counts them.
 
     Sample sizes do not depend on the alphabet, so the rows are measured
     over one with more agents than there are members: no site clears
-    the threshold and the error carries the size of every site.
+    the threshold, and the error carries the sizes of the first
+    min(10, longest row) sites, every site for rows up to 10 long.
     """
     population = Population.from_rows(max(alphabet_size, len(rows) + 1), rows)
     with pytest.raises(UnmeasurablePopulationError) as excinfo:

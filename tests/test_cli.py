@@ -207,6 +207,29 @@ class TestAnalyzeCommand:
         assert lines[1:11] == [f"  site {site}: sample size 1" for site in range(1, 11)]
         assert lines[11] == "  ... and 40 more sites"
 
+    def test_unmeasurable_report_peaks_like_a_small_file(self, tmp_path):
+        # the peak RSS of one `analyze` child, read by a fresh parent
+        measure = (
+            "import resource, subprocess, sys; "
+            "subprocess.run([sys.executable, '-m', 'evotropy.cli', 'analyze', "
+            "'--population', sys.argv[1]], capture_output=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+
+        def peak(text):
+            population = write(tmp_path, "pop.txt", text)
+            result = subprocess.run(
+                [sys.executable, "-c", measure, str(population)],
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            return int(result.stdout)
+
+        small = peak("alphabet_size=2\n0 1\n1 0\n")
+        long_row = peak("alphabet_size=2\n" + "0 " * 200_000 + "\n")
+        assert long_row <= 1.5 * small
+
     def test_missing_population_file_is_an_io_error(self, tmp_path, capsys):
         code = main(["analyze", "--population", str(tmp_path / "absent.txt")])
         assert code == EXIT_IO
@@ -298,8 +321,8 @@ class TestFuzz:
             code, err = _fuzz_main(
                 ["run", "--config", str(config), "--output-dir", str(out_dir)]
             )
-        # a run records unmeasurable generations as empty fields, so it
-        # has no legitimate runtime failure
+        # population_floor >= pool_size keeps every generation measurable,
+        # so a run has no legitimate runtime failure
         assert code != EXIT_RUNTIME
         assert err.count("\n") == (0 if code == EXIT_OK else 1)
 

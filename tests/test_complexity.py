@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import pytest
 
 import oracle
 from conftest import make_population, sample_sizes
 from evotropy import (
+    Population,
     UnmeasurablePopulationError,
     calculable_length,
     efficiency,
@@ -193,6 +195,24 @@ class TestPhysicalComplexityVariable:
         with pytest.raises(UnmeasurablePopulationError) as excinfo:
             physical_complexity_variable(population)
         assert excinfo.value.sample_sizes == {1: 2, 2: 1}
+        assert excinfo.value.sites == 2
+
+    def test_unmeasurable_footprint_does_not_grow_with_member_length(self):
+        # one member reaches every site with one sample, below 2 * site
+        peaks, errors = {}, {}
+        for length in (50, 50_000):
+            population = Population.from_rows(2, [[0] * length])
+            tracemalloc.start()
+            try:
+                physical_complexity_variable(population)
+            except UnmeasurablePopulationError as error:
+                errors[length] = error
+            finally:
+                peaks[length] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+        assert peaks[50_000] <= 1.5 * peaks[50]
+        assert len(errors[50_000].sample_sizes) == 10
+        assert errors[50_000].sites == 50_000
 
     def test_agrees_with_fixed_formula_when_lengths_equal(self, alphabet2):
         rows = [[0, 0], [0, 1], [1, 1], [0, 0], [1, 0], [0, 0]]

@@ -13,6 +13,7 @@ from evotropy import (
     EvolutionState,
     GenerationStats,
     Population,
+    UnmeasurablePopulationError,
     UserRequest,
     crossover_pair,
     evolution,
@@ -20,6 +21,7 @@ from evotropy import (
     fitness,
     mutate,
     parsimony_adjusted_fitness,
+    physical_complexity_variable,
     rand_below,
     rand_int,
     run,
@@ -500,7 +502,9 @@ class TestStepGeneration:
         )
         assert perfect > 14  # expectation is 17.5 of 20
 
-    def test_unmeasurable_children_report_none(self):
+    def test_children_of_an_unmeasurable_parent_are_measured(self):
+        # the floor, never below the pool size, makes the children of any
+        # parent population measurable, however small the parent
         alphabet = make_alphabet(3)
         config = EvolutionConfig(
             request=UserRequest((0,)),
@@ -513,15 +517,14 @@ class TestStepGeneration:
         )
         # 2 members of an alphabet-3 world: site 1 needs 3 samples
         state = make_state(config, [[0, 1], [1, 2]])
-        next_state, stats = step_generation(state, config)
-        assert stats.calculable_length == 0 or stats.complexity is not None
-        # force the truly unmeasurable case: single short member, target 2... the
-        # target can never drop below the floor, so build it directly instead
-        tiny = make_population(alphabet, [[0], [1]])
-        from evotropy import physical_complexity_variable, UnmeasurablePopulationError
-
         with pytest.raises(UnmeasurablePopulationError):
-            physical_complexity_variable(tiny)
+            physical_complexity_variable(state.population)
+        next_state, stats = step_generation(state, config)
+        # the target is max(floor, ceil(3 * mean length 2)) = 6 members
+        assert stats.population_size == len(next_state.population) == 6
+        assert stats.calculable_length == 2
+        assert isinstance(stats.complexity, float)
+        assert isinstance(stats.efficiency, float)
 
     @pytest.mark.parametrize(
         "attributes, rows",

@@ -344,3 +344,14 @@ class TestLoopBuildsValidPopulations:
         for state, _ in evolve(config):
             assert state.population.alphabet_size == config.alphabet.size
             Population(state.population.members, config.alphabet.size)
+
+
+class TestLoopMeasuresEveryGeneration:
+    @given(small_configs())
+    def test_every_row_is_measured(self, config):
+        # the floor is never below the pool size, so site 1 always clears
+        # the alphabet_size threshold
+        for _, stats in evolve(config):
+            assert stats.calculable_length >= 1
+            assert isinstance(stats.complexity, float)
+            assert isinstance(stats.efficiency, float)
