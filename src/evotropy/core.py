@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import index
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -69,6 +70,14 @@ class Alphabet:
         return len(self.agents)
 
 
+def _is_agent_id(symbol, size: int) -> bool:
+    """An integer (as operator.index takes it) in 0 .. size - 1."""
+    try:
+        return 0 <= index(symbol) < size
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class Population:
     """A multiset of agent sequences over an alphabet of alphabet_size agents.
@@ -92,15 +101,20 @@ class Population:
             raise ValueError(f"alphabet needs at least 2 agents, got {size}")
         if not all(members):
             raise ValueError("agent sequence must be non-empty")
-        # one C-speed pass collects the distinct symbols; only failing members
-        # are walked, so the message names the first bad symbol
-        distinct = set(chain.from_iterable(members))
-        if distinct and (min(distinct) < 0 or max(distinct) >= size):
+        # one C-speed pass collects the distinct symbols as integers (a set of
+        # the symbols themselves would let 1.0 hide behind an equal 1); only
+        # failing members are walked, so the message names the first bad one
+        try:
+            distinct = set(map(index, chain.from_iterable(members)))
+            valid = not distinct or (min(distinct) >= 0 and max(distinct) < size)
+        except TypeError:
+            valid = False
+        if not valid:
             bad = next(
                 symbol
                 for member in members
                 for symbol in member
-                if not 0 <= symbol < size
+                if not _is_agent_id(symbol, size)
             )
             raise ValueError(
                 f"symbol {bad} is not a valid agent id for an alphabet of size {size}"

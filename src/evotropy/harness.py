@@ -15,7 +15,7 @@ import os
 import random
 import re
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -335,40 +335,49 @@ def read_population_file(path) -> Population:
     is the measure's to say.  Raises ConfigError on a malformed file or
     an agent id outside range(alphabet_size).
     """
-    text = Path(path).read_text(encoding="ascii")
+    lines = Path(path).read_text(encoding="ascii").splitlines()
     header: int | None = None
-    symbols = _Symbols()
-    rows: list[tuple[int, ...]] = []
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+    for line_number, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line:
             continue
-        if header is None:
-            key, _, value = line.partition("=")
-            if key.strip() != "alphabet_size" or not value.strip():
-                raise ConfigError(
-                    f"line {line_number}: expected 'alphabet_size=<n>' header, "
-                    f"got {line!r}"
-                )
-            try:
-                header = int(value.strip())
-            except ValueError:
-                raise ConfigError(
-                    f"line {line_number}: alphabet_size expects an integer, "
-                    f"got {value.strip()!r}"
-                ) from None
-            if header < 2:
-                raise ConfigError("alphabet_size must be at least 2")
-            continue
+        key, _, value = line.partition("=")
+        if key.strip() != "alphabet_size" or not value.strip():
+            raise ConfigError(
+                f"line {line_number}: expected 'alphabet_size=<n>' header, "
+                f"got {line!r}"
+            )
         try:
-            rows.append(tuple(map(symbols.__getitem__, line.split())))
+            header = int(value.strip())
         except ValueError:
             raise ConfigError(
-                f"line {line_number}: member rows must be space-separated "
-                f"integers, got {line!r}"
+                f"line {line_number}: alphabet_size expects an integer, "
+                f"got {value.strip()!r}"
             ) from None
+        if header < 2:
+            raise ConfigError("alphabet_size must be at least 2")
+        break
     if header is None:
         raise ConfigError("population file is missing the alphabet_size header")
+    body = lines[line_number:]
+    symbols = _Symbols()
+    convert = repeat(symbols.__getitem__)
+    try:
+        # one C-level pass converts every token through the table; a blank
+        # line gives an empty tuple, which the filter drops
+        rows = tuple(filter(None, map(tuple, map(map, convert, map(str.split, body)))))
+    except ValueError:
+        # only now walk the lines, to name the first one int() rejects
+        for line_number, raw_line in enumerate(body, start=line_number + 1):
+            line = raw_line.strip()
+            try:
+                tuple(map(int, line.split()))
+            except ValueError:
+                raise ConfigError(
+                    f"line {line_number}: member rows must be space-separated "
+                    f"integers, got {line!r}"
+                ) from None
+        raise
     if not rows:
         raise ConfigError("population file has no member rows")
     # the table holds each distinct symbol once; only a symbol out of range
@@ -379,7 +388,7 @@ def read_population_file(path) -> Population:
             Population(rows, header)
         except ValueError as error:
             raise ConfigError(str(error)) from None
-    return Population._trusted(tuple(rows), header)
+    return Population._trusted(rows, header)
 
 
 def _drop_stale(stale: list[Path], written: str) -> None:

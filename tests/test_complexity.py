@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -7,6 +10,7 @@ import oracle
 from conftest import make_population, sample_sizes
 from evotropy import (
     Population,
+    complexity,
     UnmeasurablePopulationError,
     calculable_length,
     efficiency,
@@ -214,6 +218,14 @@ class TestPhysicalComplexityVariable:
         assert len(errors[50_000].sample_sizes) == 10
         assert errors[50_000].sites == 50_000
 
+    def test_unmeasurable_error_survives_pickle_and_copy(self):
+        error = UnmeasurablePopulationError("too small", {1: 3, 2: 1}, 5)
+        for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+            assert type(clone) is UnmeasurablePopulationError
+            assert str(clone) == str(error) == "too small"
+            assert clone.sample_sizes == {1: 3, 2: 1}
+            assert clone.sites == 5
+
     def test_agrees_with_fixed_formula_when_lengths_equal(self, alphabet2):
         rows = [[0, 0], [0, 1], [1, 1], [0, 0], [1, 0], [0, 0]]
         population = make_population(alphabet2, rows)
@@ -221,6 +233,57 @@ class TestPhysicalComplexityVariable:
         assert report.calculable_length == 2
         # both sites split 4:2
         assert report.complexity == pytest.approx(2.0 - 2 * H_2_TO_1_BASE2, abs=1e-12)
+
+
+def counting_path_rows(shape, alphabet_size, members):
+    """Rows over the whole alphabet, half of each site on one symbol."""
+    rng = random.Random(f"{shape}:{alphabet_size}:{members}")
+    if shape == "longer than measured":
+        lengths = [50] * members
+    elif shape == "one length":
+        lengths = [3] * members
+    else:  # one member of each length
+        lengths = list(range(1, members + 1))
+        rng.shuffle(lengths)
+    top = alphabet_size - 1
+    return [
+        [top if rng.random() < 0.5 else rng.randrange(alphabet_size) for _ in range(n)]
+        for n in lengths
+    ]
+
+
+class TestCountingPaths:
+    """Alphabets of up to 32 symbols with at least 32 members per symbol
+    are counted from byte columns, everything else member by member; both
+    must give the oracle's counts, hence the same entropies."""
+
+    @pytest.mark.parametrize(
+        "alphabet_size, per_symbol",
+        [(size, 4) for size in (2, 16, 32, 33, 255, 256, 257, 300)]
+        + [(size, 32) for size in (2, 16, 32, 33)],
+    )
+    @pytest.mark.parametrize(
+        "shape", ["longer than measured", "one length", "one of each length"]
+    )
+    def test_matches_oracle(self, monkeypatch, shape, alphabet_size, per_symbol):
+        rows = counting_path_rows(shape, alphabet_size, per_symbol * alphabet_size)
+        byte_columns = []
+        count = complexity._byte_column_counts
+
+        def counted(*args):
+            byte_columns.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(complexity, "_byte_column_counts", counted)
+        report = physical_complexity_variable(Population(rows, alphabet_size))
+        assert bool(byte_columns) == (alphabet_size <= 32 and per_symbol == 32)
+        measured, entropies, _, _ = oracle.complexity_report(rows, alphabet_size)
+        assert report.calculable_length == measured
+        assert report.per_site_entropy == tuple(
+            per_site_entropy(oracle.site_counts(rows, site), alphabet_size)
+            for site in range(1, measured + 1)
+        )
+        assert report.per_site_entropy == pytest.approx(entropies, abs=1e-12)
 
 
 class TestEfficiency:

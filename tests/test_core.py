@@ -69,6 +69,25 @@ class TestPopulationMembers:
         with pytest.raises(ValueError, match=r"^symbol 2 is not a valid agent id"):
             Population([[0, 1], [2]], 2)
 
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [
+            ([(0.5, 1)] * 2 + [(1.0,)] * 2, "0.5"),
+            # 1.0 == 1, so a set of the symbols alone would keep only the 1
+            ([(0, 1), (1.0,)], "1.0"),
+            ([(0, "1")], "1"),
+        ],
+    )
+    def test_rejects_a_symbol_that_is_not_an_integer(self, rows, bad):
+        with pytest.raises(ValueError) as excinfo:
+            Population(rows, 2)
+        assert str(excinfo.value) == (
+            f"symbol {bad} is not a valid agent id for an alphabet of size 2"
+        )
+
+    def test_accepts_what_operator_index_takes(self):
+        assert Population([(True, 0)], 2).members == ((1, 0),)
+
 
 class TestPopulation:
     def test_from_rows(self, alphabet2):

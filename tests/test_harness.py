@@ -567,22 +567,29 @@ def tokens(draw, high, signs, bad):
     return draw(st.sampled_from(signs)) + digits
 
 
+# str.splitlines() breaks lines at these too; "\r\n" reaches it as "\n"
+LINE_BREAKS = ("\n", "\r\n", "\x0b", "\x0c", "\x1c")
+
+
 @st.composite
 def population_files(draw):
     """Files over alphabets of 2 to 40.  Ids too large, negative ids and
-    bad tokens are each let in on about half the files, independently."""
+    bad tokens are each let in on about half the files, independently.
+    Every line ends in any of LINE_BREAKS, and blank lines may come
+    before the header as well as between rows."""
     header = draw(st.sampled_from((2, 3, 4, 7, 12, 40)))
     high = header + 2 if draw(st.booleans()) else header - 1
     signs = ("", "", "+", "-") if draw(st.booleans()) else ("", "", "+")
     row = st.lists(tokens(high, signs, draw(st.booleans())), min_size=1, max_size=8)
     rows = draw(st.lists(row, min_size=1, max_size=12))
-    lines = [f"alphabet_size={header}"]
+    blank = st.sampled_from(("", " ", "\t"))
+    lines = draw(st.lists(blank, max_size=2)) + [f"alphabet_size={header}"]
     for row in rows:
         separator = draw(st.sampled_from((" ", "  ", "\t")))
         lines.append(separator.join(row))
         if draw(st.integers(min_value=0, max_value=4)) == 0:
-            lines.append(" ")
-    return "\n".join(lines) + "\n"
+            lines.append(draw(blank))
+    return "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
 
 
 def read_outcome(reader, path):
