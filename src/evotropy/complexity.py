@@ -28,9 +28,7 @@ __all__ = [
     "ComplexityReport",
     "UnmeasurablePopulationError",
     "per_site_entropy",
-    "calculable_length",
     "physical_complexity_variable",
-    "efficiency",
 ]
 
 
@@ -122,7 +120,8 @@ def _sample_sizes(rows: list, alphabet_size: int = 0) -> Iterator[int]:
     The rows reaching a site are a suffix of the sorted rows, found by
     bisection, so a size is counted only when it is asked for.  Given an
     alphabet_size, the sizes stop before the first site with fewer than
-    alphabet_size * site samples: they cover the calculable prefix.
+    alphabet_size * site samples: sizes only shrink as that threshold
+    grows, so they cover the calculable prefix.
     """
     for site in range(1, len(rows[-1]) + 1):
         size = len(rows) - bisect_left(rows, site, key=len)
@@ -159,19 +158,6 @@ def _byte_column_counts(
         column = b"".join(slices)
         counts = map(column.count, range(alphabet_size))
         yield {symbol: count for symbol, count in enumerate(counts) if count}
-
-
-def calculable_length(population: Population) -> int:
-    """Longest site prefix with enough samples to measure, 0 if none.
-
-    A site L is measurable when at least alphabet_size * L members reach
-    it.  Sample sizes only shrink with L while the threshold grows, so
-    the measurable sites form a contiguous prefix.
-    """
-    if len(population) == 0:
-        raise ValueError("calculable length of an empty population is undefined")
-    rows = sorted(population.members, key=len)
-    return len(list(_sample_sizes(rows, population.alphabet_size)))
 
 
 def physical_complexity_variable(population: Population) -> ComplexityReport:
@@ -211,12 +197,3 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
         efficiency=complexity / potential,
         max_length=len(rows[-1]),
     )
-
-
-def efficiency(population: Population) -> float:
-    """Fraction of the measurable information space actually filled.
-
-    1.0 means every measurable site is fully pinned down, 0.0 means the
-    measured prefix is pure noise.
-    """
-    return physical_complexity_variable(population).efficiency

@@ -1,10 +1,11 @@
 """Domain types for populations of agent sequences.
 
-An Alphabet is the global pool of agents available to a system; an
-individual is a non-empty tuple of agent ids, nothing more, since the
-measures read a population as an ensemble of symbol strings.  A
-Population is a multiset of those tuples together with the size of the
-alphabet they are drawn from, the one thing the measures need of it.
+An Alphabet is the global pool of agents available to a system, each
+agent the tuple of its attribute values and its id its position in the
+pool; an individual is a non-empty tuple of agent ids, nothing more,
+since the measures read a population as an ensemble of symbol strings.
+A Population is a multiset of those tuples together with the size of
+the alphabet they are drawn from, the one thing the measures need of it.
 Everything here is an immutable value object so populations can be
 copied, hashed and compared structurally.
 """
@@ -17,7 +18,6 @@ from operator import index
 from typing import Iterable, Sequence
 
 __all__ = [
-    "Agent",
     "Alphabet",
     "Population",
     "UserRequest",
@@ -25,48 +25,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Agent:
-    """One agent: an alphabet symbol carrying its service attribute values."""
-
-    id: int
-    attributes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        if self.id < 0:
-            raise ValueError(f"agent id must be non-negative, got {self.id}")
-        if not self.attributes:
-            raise ValueError("agent must carry at least one attribute value")
-
-
-@dataclass(frozen=True)
 class Alphabet:
-    """Ordered pool of distinct agents.
+    """Ordered pool of agents, each one the tuple of its attribute values.
 
-    Agent ids double as indices into the pool, and the pool size is the
-    base of every entropy computed over populations drawn from it.
+    Agent i's attributes sit at index i, so an agent id is its position
+    in the pool, and the pool size is the base of every entropy computed
+    over populations drawn from it.
     """
 
-    agents: tuple[Agent, ...]
+    agents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "agents", tuple(self.agents))
-        if len(self.agents) < 2:
-            raise ValueError(
-                f"alphabet needs at least 2 agents, got {len(self.agents)}"
-            )
-        for index, agent in enumerate(self.agents):
-            if agent.id != index:
-                raise ValueError(
-                    f"agent at position {index} has id {agent.id}; "
-                    "ids must equal their pool position"
-                )
+        agents = tuple(map(tuple, self.agents))
+        object.__setattr__(self, "agents", agents)
+        if len(agents) < 2:
+            raise ValueError(f"alphabet needs at least 2 agents, got {len(agents)}")
+        if not all(agents):
+            raise ValueError("agent must carry at least one attribute value")
 
     @property
     def size(self) -> int:
-        return len(self.agents)
-
-    def __len__(self) -> int:
         return len(self.agents)
 
 

@@ -222,10 +222,10 @@ def _gap_table(request: UserRequest, alphabet: Alphabet) -> list[list[int]]:
     """gap[a][j]: distance from request value j to agent a's closest attribute."""
     return [
         [
-            min(abs(wanted - value) for value in agent.attributes)
+            min(abs(wanted - value) for value in attributes)
             for wanted in request.required
         ]
-        for agent in alphabet.agents
+        for attributes in alphabet.agents
     ]
 
 

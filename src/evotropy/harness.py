@@ -19,7 +19,7 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
-from .core import Agent, Alphabet, Population, UserRequest
+from .core import Alphabet, Population, UserRequest
 from .evolution import (
     ConfigError,
     EvolutionConfig,
@@ -68,7 +68,9 @@ class RunConfig:
     rng_seed together with the pool/request shape keys, so the config
     file stays a flat list of scalars.  Defaults below are the documented
     defaults of the config format; rng_seed is the one required key.
-    Construction raises ConfigError on any invalid value.
+    Construction raises ConfigError on every limit the scalars decide
+    alone.  The gap-sum and selection-weight limits need the generated
+    world, so build_evolution_config checks those.
     """
 
     rng_seed: int
@@ -116,24 +118,21 @@ class RunConfig:
         check_settings(self, self.pool_size)
 
 
-_KEYS = {field.name for field in fields(RunConfig)}
-_STRING_KEYS = {"mode", "output_dir"}
-_FLOAT_KEYS = {
-    "crossover_fraction",
-    "mutation_fraction",
-    "parsimony_coefficient",
+# each key's converter and, for its error message, what it expects, read
+# off its RunConfig annotation (a string under postponed annotations)
+_CONVERTERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, ""),
 }
+_KEY_CONVERTERS = {field.name: _CONVERTERS[field.type] for field in fields(RunConfig)}
 
 
 def _convert(key: str, text: str, line_number: int):
-    if key in _STRING_KEYS:
-        return text
+    convert, kind = _KEY_CONVERTERS[key]
     try:
-        if key in _FLOAT_KEYS:
-            return float(text)
-        return int(text)
+        return convert(text)
     except ValueError:
-        kind = "a number" if key in _FLOAT_KEYS else "an integer"
         raise ConfigError(
             f"line {line_number}: {key} expects {kind}, got {text!r}"
         ) from None
@@ -158,7 +157,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, value_text = line.partition("=")
         key = key.strip()
         value_text = value_text.strip()
-        if key not in _KEYS:
+        if key not in _KEY_CONVERTERS:
             raise ConfigError(f"line {line_number}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {line_number}: duplicate key {key!r}")
@@ -178,13 +177,12 @@ def generate_alphabet(
     high: int,
 ) -> Alphabet:
     """Agent pool with uniformly random attribute values in [low, high]."""
-    agents = []
-    for index in range(pool_size):
-        attributes = tuple(
-            rand_int(rng, low, high) for _ in range(attributes_per_agent)
+    return Alphabet(
+        tuple(
+            tuple(rand_int(rng, low, high) for _ in range(attributes_per_agent))
+            for _ in range(pool_size)
         )
-        agents.append(Agent(index, attributes))
-    return Alphabet(tuple(agents))
+    )
 
 
 def generate_request(

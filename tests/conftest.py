@@ -1,7 +1,6 @@
 import pytest
 
 from evotropy import (
-    Agent,
     Alphabet,
     Population,
     UnmeasurablePopulationError,
@@ -13,7 +12,7 @@ def make_alphabet(size, attributes=None):
     """Alphabet of `size` agents; agent i carries attributes[i] or (i,)."""
     if attributes is None:
         attributes = [(index,) for index in range(size)]
-    return Alphabet(tuple(Agent(index, attributes[index]) for index in range(size)))
+    return Alphabet(attributes[:size])
 
 
 def make_population(alphabet, rows):

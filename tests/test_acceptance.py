@@ -21,9 +21,7 @@ from evotropy import (
     UnmeasurablePopulationError,
     UserRequest,
     build_evolution_config,
-    calculable_length,
     crossover_pair,
-    efficiency,
     fitness,
     mutate,
     physical_complexity_variable,
@@ -123,14 +121,14 @@ def test_criterion_2_mixed_length_cutoff(announce):
         [2, 0, 2, 0, 2] for _ in range(6)
     ]
     population = make_population(make_alphabet(3), rows)
-    measured = calculable_length(population)
+    measured = physical_complexity_variable(population).calculable_length
     announce(2, "mixed-length cutoff", measured == 5, f"calculable_length={measured}")
 
 
 def test_criterion_3_entropy_extremes(announce):
     # unanimous population: every measurable site fully ordered
     unanimous = make_population(make_alphabet(2), [[0, 1, 1, 0]] * 12)
-    exact_one = efficiency(unanimous) == 1.0
+    exact_one = physical_complexity_variable(unanimous).efficiency == 1.0
 
     # uniform population: every site maximally disordered
     uniform_rows = [list(symbols) for symbols in itertools.product(range(2), repeat=3)]
@@ -142,7 +140,7 @@ def test_criterion_3_entropy_extremes(announce):
         3,
         "entropy extremes",
         exact_one and near_zero,
-        f"unanimous efficiency={efficiency(unanimous)!r}, "
+        f"unanimous efficiency={physical_complexity_variable(unanimous).efficiency!r}, "
         f"uniform complexity={report.complexity!r}",
     )
 
@@ -303,7 +301,7 @@ def test_criterion_7_operator_invariants(announce):
             pooled = {
                 value
                 for symbol in individual
-                for value in alphabet.agents[symbol].attributes
+                for value in alphabet.agents[symbol]
             }
             covered = all(value in pooled for value in request.required)
             if (score == 1.0) != covered:

@@ -12,8 +12,6 @@ from evotropy import (
     Population,
     complexity,
     UnmeasurablePopulationError,
-    calculable_length,
-    efficiency,
     per_site_entropy,
     physical_complexity_variable,
 )
@@ -113,32 +111,37 @@ class TestPerSiteEntropy:
 
 
 class TestCalculableLength:
+    """The report's calculable_length, the longest measurable site prefix."""
+
     def test_mixed_length_example(self, alphabet3):
         # site 5: 16 >= 15 qualifies; site 6: 10 < 18 does not
-        assert calculable_length(mixed_length_population(alphabet3)) == 5
+        report = physical_complexity_variable(mixed_length_population(alphabet3))
+        assert report.calculable_length == 5
 
     def test_fixed_length_with_enough_members(self, alphabet2):
         population = make_population(alphabet2, [[0, 1, 0]] * 6)
-        assert calculable_length(population) == 3
+        assert physical_complexity_variable(population).calculable_length == 3
 
     def test_small_population_measures_first_site_only(self, alphabet4):
         population = make_population(alphabet4, [[0, 1, 2]] * 5)
         # site 1: 5 >= 4; site 2: 5 < 8
-        assert calculable_length(population) == 1
+        assert physical_complexity_variable(population).calculable_length == 1
 
     def test_too_small_population_yields_zero(self, alphabet3):
-        assert calculable_length(make_population(alphabet3, [[0], [1]])) == 0
+        # no measurable site: the oracle's length is 0 and the measure raises
+        rows = [[0], [1]]
+        assert oracle.calculable_length(rows, 3) == 0
+        with pytest.raises(UnmeasurablePopulationError):
+            physical_complexity_variable(make_population(alphabet3, rows))
 
     def test_rejects_empty_population(self, alphabet3):
-        from evotropy import Population
-
         with pytest.raises(ValueError):
-            calculable_length(Population((), alphabet3.size))
+            physical_complexity_variable(Population((), alphabet3.size))
 
     def test_agrees_with_naive_oracle(self, alphabet3):
         rows = [[0, 1], [1], [2, 2, 2], [0, 0], [1, 1], [2, 0], [0, 1, 2]]
-        population = make_population(alphabet3, rows)
-        assert calculable_length(population) == oracle.calculable_length(rows, 3)
+        report = physical_complexity_variable(make_population(alphabet3, rows))
+        assert report.calculable_length == oracle.calculable_length(rows, 3)
 
 
 class TestPhysicalComplexityFixed:
@@ -287,13 +290,16 @@ class TestCountingPaths:
 
 
 class TestEfficiency:
+    """The report's efficiency, complexity per measured site."""
+
     def test_unanimous_is_exactly_one(self, alphabet2):
         population = make_population(alphabet2, [[0, 1, 1]] * 6)
-        assert efficiency(population) == 1.0
+        assert physical_complexity_variable(population).efficiency == 1.0
 
     def test_random_is_zero(self, alphabet2):
         population = make_population(alphabet2, [[0, 0], [0, 1], [1, 0], [1, 1]])
-        assert efficiency(population) == pytest.approx(0.0, abs=1e-12)
+        efficiency = physical_complexity_variable(population).efficiency
+        assert efficiency == pytest.approx(0.0, abs=1e-12)
 
     def test_one_ordered_site_out_of_four(self, alphabet2):
         # site 1 unanimous; sites 2-4 exactly uniform
@@ -301,12 +307,13 @@ class TestEfficiency:
             [0, i % 2, (i // 2) % 2, (i // 4) % 2] for i in range(16)
         ]
         population = make_population(alphabet2, rows)
-        assert efficiency(population) == pytest.approx(0.25, abs=1e-12)
+        efficiency = physical_complexity_variable(population).efficiency
+        assert efficiency == pytest.approx(0.25, abs=1e-12)
 
     def test_propagates_unmeasurable_population(self, alphabet3):
         population = make_population(alphabet3, [[0], [1]])
         with pytest.raises(UnmeasurablePopulationError):
-            efficiency(population)
+            physical_complexity_variable(population)
 
 
 def test_entropy_value_is_reproducible_against_log_identity():

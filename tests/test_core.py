@@ -4,7 +4,6 @@ import pytest
 
 from conftest import make_alphabet, make_population
 from evotropy import (
-    Agent,
     Alphabet,
     Population,
     UserRequest,
@@ -12,37 +11,33 @@ from evotropy import (
 
 
 class TestAgent:
-    def test_holds_id_and_attributes(self):
-        agent = Agent(3, (1, 4))
-        assert agent.id == 3
-        assert agent.attributes == (1, 4)
+    """An agent is the tuple of its attribute values, at its id's index."""
+
+    def test_list_attributes_come_back_as_tuples(self):
+        alphabet = Alphabet([[1, 4], (0,)])
+        assert alphabet.agents == ((1, 4), (0,))
 
     def test_rejects_empty_attributes(self):
-        with pytest.raises(ValueError):
-            Agent(0, ())
-
-    def test_rejects_negative_id(self):
-        with pytest.raises(ValueError):
-            Agent(-1, (0,))
+        with pytest.raises(
+            ValueError, match="^agent must carry at least one attribute value$"
+        ):
+            Alphabet(((0,), ()))
 
     def test_is_immutable(self):
-        agent = Agent(0, (5,))
+        alphabet = make_alphabet(2)
+        assert isinstance(alphabet.agents[0], tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            agent.id = 1
+            alphabet.agents = ((1,), (0,))
 
 
 class TestAlphabet:
     def test_size(self):
         assert make_alphabet(5).size == 5
-        assert len(make_alphabet(5)) == 5
 
     def test_rejects_fewer_than_two_agents(self):
-        with pytest.raises(ValueError):
-            Alphabet((Agent(0, (0,)),))
-
-    def test_rejects_ids_out_of_position(self):
-        with pytest.raises(ValueError):
-            Alphabet((Agent(0, (0,)), Agent(2, (1,))))
+        message = "^alphabet needs at least 2 agents, got 1$"
+        with pytest.raises(ValueError, match=message):
+            Alphabet(((0,),))
 
 
 class TestPopulationMembers:

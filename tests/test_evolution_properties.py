@@ -189,11 +189,7 @@ class TestParsimonyMatchesScalarFormula:
 
 def pooled_fitness(individual, request, alphabet):
     """The pooled-attribute formula, scanning every pooled value per request value."""
-    pool = [
-        value
-        for symbol in individual
-        for value in alphabet.agents[symbol].attributes
-    ]
+    pool = [value for symbol in individual for value in alphabet.agents[symbol]]
     total_gap = 0
     for wanted in request.required:
         total_gap += min(abs(wanted - value) for value in pool)
@@ -262,9 +258,7 @@ class TestFitnessInvariants:
         )
         score = fitness(symbols, request, alphabet)
         assert 0.0 < score <= 1.0
-        pooled = {
-            value for symbol in symbols for value in alphabet.agents[symbol].attributes
-        }
+        pooled = {value for symbol in symbols for value in alphabet.agents[symbol]}
         covered = all(value in pooled for value in wanted)
         assert (score == 1.0) == covered
 

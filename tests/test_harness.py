@@ -203,10 +203,9 @@ class TestGeneration:
     def test_alphabet_shape_and_ranges(self):
         alphabet = generate_alphabet(random.Random(0), 10, 3, 2, 5)
         assert alphabet.size == 10
-        for index, agent in enumerate(alphabet.agents):
-            assert agent.id == index
-            assert len(agent.attributes) == 3
-            assert all(2 <= value <= 5 for value in agent.attributes)
+        for attributes in alphabet.agents:
+            assert len(attributes) == 3
+            assert all(2 <= value <= 5 for value in attributes)
 
     def test_request_shape_and_range(self):
         request = generate_request(random.Random(0), 6, 1, 3)
@@ -220,7 +219,7 @@ class TestGeneration:
 
     def test_attribute_values_cover_the_range(self):
         alphabet = generate_alphabet(random.Random(1), 100, 2, 0, 4)
-        values = {v for agent in alphabet.agents for v in agent.attributes}
+        values = {v for agent in alphabet.agents for v in agent}
         assert values == {0, 1, 2, 3, 4}
 
 
@@ -268,6 +267,28 @@ class TestBuildEvolutionConfig:
         config = build_evolution_config(RunConfig(rng_seed=5, pool_size=7))
         assert config.alphabet.size == 7
         assert len(config.request.required) == 4
+
+    # the settings of test_cli's numeric-limit cases, on seed 7 over 2 generations
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            (
+                {"parsimony_coefficient": 1e305, "attribute_max": 10**20},
+                "parsimony_coefficient",
+            ),
+            ({"attribute_max": 10**308}, "attribute_max"),
+        ],
+        ids=["weight-underflow", "gap-sum-overflow"],
+    )
+    def test_world_limits_pass_run_config_and_fail_here(self, overrides, key):
+        # RunConfig cannot check them: they depend on the drawn attributes
+        run_config = RunConfig(rng_seed=7, generations=2, **overrides)
+        with pytest.raises(ConfigError, match=key):
+            build_evolution_config(run_config)
+
+    def test_an_attribute_range_beyond_a_float_is_rejected_by_run_config(self):
+        with pytest.raises(ConfigError, match="attribute_max"):
+            RunConfig(rng_seed=7, generations=2, attribute_max=10**400)
 
 
 def example_rows():

@@ -1,5 +1,6 @@
 """The package exports exactly the union of its modules' public lists,
-and imports nothing outside the standard library."""
+imports nothing outside the standard library, and runs the README's
+quick start as written."""
 
 import ast
 import re
@@ -12,9 +13,12 @@ from evotropy import complexity, core, evolution, harness
 MODULES = (core, complexity, evolution, harness)
 
 REMOVED = (
+    "Agent",
     "AgentSequence",
     "SiteDistribution",
     "SnapshotFile",
+    "calculable_length",
+    "efficiency",
     "genotype_space_size",
     "min_population_size",
     "physical_complexity_fixed",
@@ -45,6 +49,7 @@ def test_removed_names_are_not_exported():
         assert name not in evotropy.__all__
         assert not hasattr(evotropy, name)
     assert not hasattr(evotropy.Population, "max_length")
+    assert not hasattr(evotropy.Alphabet, "__len__")
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -69,3 +74,17 @@ def test_the_package_version_is_the_project_version():
     version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
     assert version is not None
     assert version.group(1) == evotropy.__version__
+
+
+def readme_quick_start():
+    """The Python block fenced under the README's `Library quick start` heading."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library quick start\n", 1)[1]
+    before, block = section.split("```python\n", 1)
+    assert not before.strip(), "the quick start section must open with its code block"
+    return block.split("```\n", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(readme_quick_start(), "README.md", "exec"), {})
+    assert capsys.readouterr().out
