@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterator
 
@@ -27,7 +27,6 @@ from .core import Population
 __all__ = [
     "ComplexityReport",
     "UnmeasurablePopulationError",
-    "per_site_entropy",
     "physical_complexity_variable",
 ]
 
@@ -75,41 +74,25 @@ class UnmeasurablePopulationError(ValueError):
         return type(self), (self.args[0], self.sample_sizes, self.sites)
 
 
-def per_site_entropy(counts: dict[int, int], alphabet_size: int) -> float:
-    """Shannon entropy of one site's symbol counts, in units of base alphabet_size.
+def _entropy(counts: list[int], size: int, alphabet_size: int) -> float:
+    """Shannon entropy of one site, in units of base alphabet_size.
 
-    `counts` maps each symbol to how many members carry it at the site.
-    Zero-probability symbols contribute nothing (0 log 0 = 0).  A
-    unanimous site is exactly 0.0 and counts spread uniformly over the
-    whole alphabet are exactly 1.0; everything else lands strictly
-    between, clamped against last-bit rounding.
+    `counts` holds the site's non-zero symbol counts in symbol order, and
+    `size`, their sum, its sample size.  A unanimous site is exactly 0.0
+    and counts spread uniformly over the whole alphabet are exactly 1.0;
+    everything else lands strictly between, clamped against last-bit
+    rounding.  The measure's counts always meet these preconditions, so
+    nothing here checks them again.
     """
-    if alphabet_size < 2:
-        raise ValueError(f"alphabet_size must be >= 2, got {alphabet_size}")
-    if any(count < 0 for count in counts.values()):
-        raise ValueError("symbol counts must be non-negative")
-    occupied = {
-        symbol: count
-        for symbol, count in counts.items()
-        if count > 0
-    }
-    if not occupied:
-        raise ValueError("entropy is undefined for an empty site (sample size 0)")
-    if len(occupied) > alphabet_size:
-        raise ValueError(
-            f"{len(occupied)} distinct symbols cannot come from an "
-            f"alphabet of size {alphabet_size}"
-        )
-    if len(occupied) == 1:
+    if len(counts) == 1:
         return 0.0
-    if len(occupied) == alphabet_size and len(set(occupied.values())) == 1:
+    if len(counts) == alphabet_size and len(set(counts)) == 1:
         return 1.0
     log_base = math.log(alphabet_size)
-    total = sum(occupied.values())
     entropy = 0.0
-    # sorted symbol order keeps the summation independent of member order
-    for symbol in sorted(occupied):
-        p = occupied[symbol] / total
+    # symbol order keeps the summation independent of member order
+    for count in counts:
+        p = count / size
         entropy -= p * math.log(p) / log_base
     return min(1.0, max(0.0, entropy))
 
@@ -130,10 +113,20 @@ def _sample_sizes(rows: list, alphabet_size: int = 0) -> Iterator[int]:
         yield size
 
 
+def _member_counts(rows: list, sizes: list[int]) -> Iterator[list[int]]:
+    """Non-zero symbol counts, in symbol order, of sites 1..len(sizes) of
+    `rows`, sorted shortest first, tallied member by member; `sizes` are
+    the sites' sample sizes."""
+    for site, size in enumerate(sizes):
+        tally = Counter(map(itemgetter(site), rows[len(rows) - size :]))
+        yield [count for _, count in sorted(tally.items())]
+
+
 def _byte_column_counts(
     rows: list, measured: int, alphabet_size: int
-) -> Iterator[dict[int, int]]:
-    """Symbol counts of sites 1..measured of `rows`, sorted shortest first.
+) -> Iterator[list[int]]:
+    """Non-zero symbol counts, in symbol order, of sites 1..measured of
+    `rows`, sorted shortest first.
 
     Every symbol fits in a byte.  Each run of rows of one length, and the
     rows reaching past `measured` cut to it, become one byte string of
@@ -156,8 +149,7 @@ def _byte_column_counts(
         start = end
     for slices in columns:
         column = b"".join(slices)
-        counts = map(column.count, range(alphabet_size))
-        yield {symbol: count for symbol, count in enumerate(counts) if count}
+        yield [count for count in map(column.count, range(alphabet_size)) if count]
 
 
 def physical_complexity_variable(population: Population) -> ComplexityReport:
@@ -182,11 +174,8 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
     if few_symbols and len(rows) >= _BYTE_COLUMNS_UP_TO * alphabet_size:
         counts = _byte_column_counts(rows, len(sizes), alphabet_size)
     else:
-        counts = (
-            Counter(map(itemgetter(site - 1), rows[len(rows) - size :]))
-            for site, size in enumerate(sizes, start=1)
-        )
-    entropies = tuple(per_site_entropy(tally, alphabet_size) for tally in counts)
+        counts = _member_counts(rows, sizes)
+    entropies = tuple(map(_entropy, counts, sizes, repeat(alphabet_size)))
     potential = float(len(sizes))
     complexity = max(0.0, potential - sum(entropies))
     return ComplexityReport(

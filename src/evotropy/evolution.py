@@ -36,10 +36,8 @@ __all__ = [
     "select",
     "crossover_pair",
     "mutate",
-    "target_population_size",
     "step_generation",
     "evolve",
-    "run",
 ]
 
 # freshly seeded members get lengths drawn uniformly from this range
@@ -387,23 +385,6 @@ def mutate(
     return symbols[:position] + symbols[position + 1 :]
 
 
-def target_population_size(
-    mean_length: float, alphabet_size: int, floor: int
-) -> int:
-    """Population size that keeps typical-length sites measurable.
-
-    max(floor, ceil(alphabet_size * mean_length)): the population grows
-    with the average sequence so site statistics keep pace with length.
-    """
-    if mean_length < 1.0:
-        raise ValueError(f"mean_length must be >= 1, got {mean_length}")
-    if alphabet_size < 2:
-        raise ValueError(f"alphabet_size must be >= 2, got {alphabet_size}")
-    if floor < 1:
-        raise ValueError(f"floor must be >= 1, got {floor}")
-    return max(floor, math.ceil(alphabet_size * mean_length))
-
-
 def _mean(values: Sequence[float]) -> float:
     # the float statistics.fmean returns, without importing statistics
     return math.fsum(values) / len(values)
@@ -479,7 +460,9 @@ def step_generation(
     # the nondiscriminating baseline feeds flat weights to the same roulette
     weights = adjusted if config.discriminating else [1.0] * len(members)
 
-    target = target_population_size(mean_length, alphabet.size, config.population_floor)
+    # the population grows with the mean length, so site statistics keep
+    # pace with the sequences
+    target = max(config.population_floor, math.ceil(alphabet.size * mean_length))
     survivors = list(select(state.population, weights, target, rng).members)
 
     paired = int(config.crossover_fraction * len(survivors))
@@ -532,27 +515,3 @@ def evolve(config: EvolutionConfig) -> Iterator[tuple[EvolutionState, Generation
     for _ in range(config.generations):
         state, stats = step_generation(state, config, _run=run_state)
         yield state, stats
-
-
-def snapshot_due(generation: int, every: int, last: int) -> bool:
-    """True on the grid of `every` generations (0: never) and at the `last`."""
-    return every > 0 and (generation % every == 0 or generation == last)
-
-
-def run(
-    config: EvolutionConfig, snapshot_every: int = 0
-) -> tuple[list[GenerationStats], EvolutionState, list[tuple[int, Population]]]:
-    """Collect a whole evolve(config) run into lists.
-
-    Returns the stats rows, the final state, and (generation, population)
-    snapshots every `snapshot_every` generations (0: none; the final
-    generation is always captured).
-    """
-    if snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
-    stats, snapshots = [], []
-    for state, row in evolve(config):
-        stats.append(row)
-        if snapshot_due(state.generation, snapshot_every, config.generations):
-            snapshots.append((state.generation, state.population))
-    return stats, state, snapshots

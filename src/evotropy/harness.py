@@ -27,7 +27,6 @@ from .evolution import (
     check_settings,
     evolve,
     rand_int,
-    snapshot_due,
 )
 
 __all__ = [
@@ -49,10 +48,7 @@ __all__ = [
 
 MODES = ("discriminating", "nondiscriminating")
 
-STATS_HEADER = (
-    "generation,max_fitness,mean_fitness,mean_length,"
-    "population_size,calculable_length,complexity,efficiency"
-)
+STATS_HEADER = ",".join(field.name for field in fields(GenerationStats))
 
 # the padding pixel, as P3 text
 WHITE = "255 255 255"
@@ -227,6 +223,14 @@ def _real(value: float) -> str:
     return f"{value:.9f}"
 
 
+# each stats.csv column's name and formatter, read off its GenerationStats
+# annotation: reals through _real, integers through str
+_STATS_COLUMNS = [
+    (field.name, _real if field.type == "float" else str)
+    for field in fields(GenerationStats)
+]
+
+
 def format_stats_csv(stats: list[GenerationStats]) -> str:
     """Render stats rows as CSV text.
 
@@ -234,20 +238,8 @@ def format_stats_csv(stats: list[GenerationStats]) -> str:
     """
     lines = [STATS_HEADER]
     for row in stats:
-        lines.append(
-            ",".join(
-                (
-                    str(row.generation),
-                    _real(row.max_fitness),
-                    _real(row.mean_fitness),
-                    _real(row.mean_length),
-                    str(row.population_size),
-                    str(row.calculable_length),
-                    _real(row.complexity),
-                    _real(row.efficiency),
-                )
-            )
-        )
+        cells = (cell(getattr(row, name)) for name, cell in _STATS_COLUMNS)
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -395,6 +387,11 @@ def _drop_stale(stale: list[Path], written: str) -> None:
         if path.name != written:
             path.unlink(missing_ok=True)
     stale.clear()
+
+
+def snapshot_due(generation: int, every: int, last: int) -> bool:
+    """True on the grid of `every` generations (0: never) and at the `last`."""
+    return every > 0 and (generation % every == 0 or generation == last)
 
 
 def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:

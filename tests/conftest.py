@@ -4,6 +4,7 @@ from evotropy import (
     Alphabet,
     Population,
     UnmeasurablePopulationError,
+    complexity,
     physical_complexity_variable,
 )
 
@@ -32,6 +33,16 @@ def sample_sizes(rows, alphabet_size=2):
     with pytest.raises(UnmeasurablePopulationError) as excinfo:
         physical_complexity_variable(population)
     return excinfo.value.sample_sizes
+
+
+def site_entropy(counts, alphabet_size):
+    """The measure's entropy of one site's {symbol: count} tally, such as
+    oracle.site_counts gives: non-zero counts in symbol order and their sum."""
+    return complexity._entropy(
+        [count for _, count in sorted(counts.items())],
+        sum(counts.values()),
+        alphabet_size,
+    )
 
 
 @pytest.fixture

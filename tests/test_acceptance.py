@@ -22,10 +22,10 @@ from evotropy import (
     UserRequest,
     build_evolution_config,
     crossover_pair,
+    evolve,
     fitness,
     mutate,
     physical_complexity_variable,
-    run,
     run_experiment,
     select,
 )
@@ -147,7 +147,7 @@ def test_criterion_3_entropy_extremes(announce):
 
 def test_criterion_4_self_organisation_trend(announce):
     started = time.monotonic()
-    stats, _, _ = run(build_evolution_config(RunConfig(rng_seed=42)))
+    stats = [row for _, row in evolve(build_evolution_config(RunConfig(rng_seed=42)))]
     elapsed = time.monotonic() - started
 
     early = stats[:151]
@@ -175,10 +175,15 @@ def test_criterion_5_selection_ablation(announce):
     details = []
     passing = 0
     for seed in ABLATION_SEEDS:
-        disc_stats, _, _ = run(build_evolution_config(RunConfig(rng_seed=seed)))
-        flat_stats, _, _ = run(
-            build_evolution_config(RunConfig(rng_seed=seed, mode="nondiscriminating"))
-        )
+        disc_stats = [
+            row for _, row in evolve(build_evolution_config(RunConfig(rng_seed=seed)))
+        ]
+        flat_stats = [
+            row
+            for _, row in evolve(
+                build_evolution_config(RunConfig(rng_seed=seed, mode="nondiscriminating"))
+            )
+        ]
         disc = disc_stats[-1].efficiency
         flat = flat_stats[-1].efficiency
         disc = 0.0 if disc is None else disc

@@ -1,14 +1,16 @@
 """Property tests: invariants that must hold for any population."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import make_population, sample_sizes
+from conftest import make_population, sample_sizes, site_entropy
 from evotropy import (
     UnmeasurablePopulationError,
-    per_site_entropy,
+    complexity,
     physical_complexity_variable,
 )
 
@@ -66,7 +68,7 @@ class TestEntropy:
     def test_stays_in_unit_interval(self, pop):
         alphabet_size, rows = pop
         for site in range(1, max(map(len, rows)) + 1):
-            entropy = per_site_entropy(oracle.site_counts(rows, site), alphabet_size)
+            entropy = site_entropy(oracle.site_counts(rows, site), alphabet_size)
             assert 0.0 <= entropy <= 1.0
 
     @given(populations())
@@ -74,7 +76,7 @@ class TestEntropy:
         alphabet_size, rows = pop
         for site in range(1, max(map(len, rows)) + 1):
             counts = oracle.site_counts(rows, site)
-            ours = per_site_entropy(counts, alphabet_size)
+            ours = site_entropy(counts, alphabet_size)
             theirs = oracle.entropy(counts, alphabet_size)
             assert ours == pytest.approx(theirs, abs=1e-12)
 
@@ -95,6 +97,47 @@ class TestEntropy:
         # duplication can only make more sites measurable
         if entropies is not None:
             assert duplicated[: len(entropies)] == entropies
+
+
+@st.composite
+def counting_populations(draw):
+    """Rows sorted shortest first, on both sides of the byte-column cut:
+    alphabets of at most and of more than _BYTE_COLUMNS_UP_TO symbols, with
+    fewer and more than _BYTE_COLUMNS_UP_TO members per symbol, some
+    symbols left unused."""
+    cut = complexity._BYTE_COLUMNS_UP_TO
+    alphabet_size = draw(st.sampled_from([2, 3, cut - 1, cut, cut + 1, 2 * cut]))
+    per_symbol = draw(st.sampled_from([1, 2, cut - 1, cut, cut + 1]))
+    longest = draw(st.integers(min_value=1, max_value=6))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    used = rng.sample(range(alphabet_size), rng.randint(1, alphabet_size))
+    rows = [
+        [rng.choice(used) for _ in range(rng.randint(1, longest))]
+        for _ in range(per_symbol * alphabet_size)
+    ]
+    return alphabet_size, sorted(rows, key=len)
+
+
+class TestCountingPaths:
+    """The measure hands _entropy each site's non-zero counts in symbol
+    order and their sum, unchecked; both counting paths must give them."""
+
+    @settings(deadline=None)
+    @given(counting_populations())
+    def test_both_paths_give_the_sites_counts_in_symbol_order(self, pop):
+        alphabet_size, rows = pop
+        sizes = list(complexity._sample_sizes(rows, alphabet_size))
+        by_member = list(complexity._member_counts(rows, sizes))
+        by_column = list(
+            complexity._byte_column_counts(rows, len(sizes), alphabet_size)
+        )
+        assert by_member == by_column
+        assert len(by_member) == len(sizes) >= 1
+        for site, (counts, size) in enumerate(zip(by_member, sizes), start=1):
+            assert all(counts)
+            assert sum(counts) == size
+            tally = oracle.site_counts(rows, site)
+            assert counts == [tally[symbol] for symbol in sorted(tally)]
 
 
 def measured_length(alphabet_size, rows):

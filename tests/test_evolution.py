@@ -24,11 +24,11 @@ from evotropy import (
     physical_complexity_variable,
     rand_below,
     rand_int,
-    run,
+    RunConfig,
+    run_experiment,
     sample_indices,
     select,
     step_generation,
-    target_population_size,
 )
 
 
@@ -315,22 +315,28 @@ class TestMutate:
 
 
 class TestTargetPopulationSize:
+    """A step selects max(population_floor, ceil(D * the parents' mean
+    length)) members."""
+
+    def stepped_size(self, alphabet_size, floor, rows):
+        config = EvolutionConfig(
+            request=UserRequest((0,)),
+            alphabet=make_alphabet(alphabet_size),
+            rng_seed=7,
+            population_floor=floor,
+        )
+        next_state, _ = step_generation(make_state(config, rows), config)
+        return len(next_state.population)
+
     def test_floor_wins_for_short_sequences(self):
-        assert target_population_size(1.0, 2, 15) == 15
+        assert self.stepped_size(2, 15, [[0]] * 15) == 15
 
     def test_scaling_term_matches_floor(self):
-        assert target_population_size(5.0, 2, 10) == 10
+        assert self.stepped_size(2, 10, [[0] * 5] * 10) == 10
 
     def test_scaling_term_wins_and_rounds_up(self):
-        assert target_population_size(8.5, 3, 20) == 26
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            target_population_size(0.5, 2, 10)
-        with pytest.raises(ValueError):
-            target_population_size(2.0, 1, 10)
-        with pytest.raises(ValueError):
-            target_population_size(2.0, 2, 0)
+        # mean length 8.5: ceil(3 * 8.5) = 26
+        assert self.stepped_size(3, 20, [[0] * 8, [0] * 9] * 10) == 26
 
 
 class TestConfigAndState:
@@ -597,6 +603,23 @@ class TestStepGeneration:
         assert abs(perfect - 500) < 50
 
 
+def collect(config):
+    """The stats rows and the final state of a whole evolve(config) run."""
+    stats = []
+    for state, row in evolve(config):
+        stats.append(row)
+    return stats, state
+
+
+def snapshot_files(*generations):
+    """The snap_<generation>.txt and .ppm names of `generations`."""
+    return [
+        f"snap_{generation}.{kind}"
+        for generation in generations
+        for kind in ("txt", "ppm")
+    ]
+
+
 class TestRun:
     def quick_config(self, **overrides):
         alphabet = make_alphabet(2, [(3,), (5,)])
@@ -610,62 +633,64 @@ class TestRun:
         defaults.update(overrides)
         return EvolutionConfig(**defaults)
 
+    def written_files(self, directory, **overrides):
+        """The files run_experiment writes for a quick run with `overrides`."""
+        values = dict(rng_seed=12, generations=5, population_floor=12, pool_size=2)
+        values.update(overrides)
+        run_experiment(RunConfig(**values), out_dir=directory)
+        return sorted(path.name for path in directory.iterdir())
+
     def test_row_count_is_generations_plus_one(self):
-        stats, state, _ = run(self.quick_config())
+        stats, state = collect(self.quick_config())
         assert len(stats) == 6
         assert [row.generation for row in stats] == [0, 1, 2, 3, 4, 5]
         assert state.generation == 5
 
     def test_zero_generations_still_measures_the_seed_population(self):
-        stats, state, _ = run(self.quick_config(generations=0))
+        stats, state = collect(self.quick_config(generations=0))
         assert len(stats) == 1
         assert stats[0].generation == 0
         assert state.generation == 0
         assert len(state.population) == 12
 
     def test_initial_lengths_come_from_the_documented_range(self):
-        _, state, _ = run(self.quick_config(generations=0, population_floor=200))
+        _, state = collect(self.quick_config(generations=0, population_floor=200))
         low, high = INITIAL_LENGTH_RANGE
         lengths = {len(member) for member in state.population.members}
         assert lengths <= set(range(low, high + 1))
         assert lengths == set(range(low, high + 1))  # 200 draws cover 1..5
 
-    def test_snapshots_fall_on_the_grid_and_the_end(self):
-        _, _, snapshots = run(self.quick_config(generations=5), snapshot_every=2)
-        assert [generation for generation, _ in snapshots] == [0, 2, 4, 5]
+    def test_snapshots_fall_on_the_grid_and_the_end(self, tmp_path, capsys):
+        written = self.written_files(tmp_path, generations=5, snapshot_every=2)
+        assert written == sorted(snapshot_files(0, 2, 4, 5) + ["stats.csv"])
 
-    def test_snapshot_every_zero_disables_snapshots(self):
-        _, _, snapshots = run(self.quick_config(generations=5), snapshot_every=0)
-        assert snapshots == []
+    def test_snapshot_every_zero_disables_snapshots(self, tmp_path, capsys):
+        written = self.written_files(tmp_path, generations=5, snapshot_every=0)
+        assert written == ["stats.csv"]
 
-    def test_final_snapshot_not_duplicated_when_on_grid(self):
-        _, _, snapshots = run(self.quick_config(generations=4), snapshot_every=2)
-        assert [generation for generation, _ in snapshots] == [0, 2, 4]
-
-    def test_rejects_negative_snapshot_interval(self):
-        with pytest.raises(ValueError):
-            run(self.quick_config(), snapshot_every=-1)
+    def test_final_snapshot_not_duplicated_when_on_grid(self, tmp_path, capsys):
+        written = self.written_files(tmp_path, generations=4, snapshot_every=2)
+        assert written == sorted(snapshot_files(0, 2, 4) + ["stats.csv"])
 
     def test_identical_configs_replay_identical_histories(self):
         config = self.quick_config(generations=20)
-        first_stats, first_state, first_snaps = run(config, snapshot_every=7)
-        second_stats, second_state, second_snaps = run(config, snapshot_every=7)
-        assert first_stats == second_stats
-        assert symbol_rows(first_state.population) == symbol_rows(
-            second_state.population
+        first, second = (
+            [
+                (state.population.members, state.rng_state, row)
+                for state, row in evolve(config)
+            ]
+            for _ in range(2)
         )
-        assert [g for g, _ in first_snaps] == [g for g, _ in second_snaps]
-        for (_, population1), (_, population2) in zip(first_snaps, second_snaps):
-            assert symbol_rows(population1) == symbol_rows(population2)
+        assert first == second
 
     def test_different_seeds_diverge(self):
-        first, _, _ = run(self.quick_config(rng_seed=1, generations=10))
-        second, _, _ = run(self.quick_config(rng_seed=2, generations=10))
+        first, _ = collect(self.quick_config(rng_seed=1, generations=10))
+        second, _ = collect(self.quick_config(rng_seed=2, generations=10))
         assert first != second
 
     def test_fitness_improves_under_selection(self):
         config = self.quick_config(generations=60, population_floor=60, rng_seed=13)
-        stats, _, _ = run(config)
+        stats, _ = collect(config)
         assert stats[-1].max_fitness >= stats[0].max_fitness
         assert stats[-1].max_fitness == 1.0
 
@@ -692,20 +717,6 @@ class TestEvolve:
             assert stepped.population.members == expected.population.members
             assert stepped.rng_state == expected.rng_state
             assert stats == expected_stats
-
-    def test_run_collects_evolve(self):
-        config = self.config()
-        stats, state, snapshots = run(config, snapshot_every=3)
-        yielded = list(evolve(config))
-        assert stats == [row for _, row in yielded]
-        assert state.population.members == yielded[-1][0].population.members
-        assert state.rng_state == yielded[-1][0].rng_state
-        kept = [(generation, kept.members) for generation, kept in snapshots]
-        assert kept == [
-            (each.generation, each.population.members)
-            for each, _ in yielded
-            if each.generation in (0, 3, 6, 8)
-        ]
 
     def test_each_step_scores_only_what_the_last_generation_did_not(
         self, monkeypatch

@@ -1,6 +1,7 @@
 """Property tests for the variation and selection operators."""
 
 import bisect
+import math
 import random
 from collections import Counter
 from statistics import fmean
@@ -22,10 +23,8 @@ from evotropy import (
     parsimony_adjusted_fitness,
     rand_below,
     rand_int,
-    run,
     sample_indices,
     select,
-    target_population_size,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -229,13 +228,13 @@ class TestFitnessMatchesPooledFormula:
             population_floor=alphabet.size * 4,
             generations=0,
         )
-        stats, state, _ = run(config)
+        [(state, stats)] = evolve(config)
         expected = [
             pooled_fitness(member, request, alphabet)
             for member in state.population.members
         ]
-        assert stats[0].max_fitness == max(expected)
-        assert stats[0].mean_fitness == fmean(expected)
+        assert stats.max_fitness == max(expected)
+        assert stats.mean_fitness == fmean(expected)
 
 
 class TestFitnessInvariants:
@@ -275,6 +274,25 @@ class TestFitnessInvariants:
             assert adjusted == raw
 
 
+@st.composite
+def small_configs(draw):
+    pool_size = draw(st.integers(min_value=2, max_value=5))
+    values = st.integers(min_value=0, max_value=9)
+    pools = draw(st.lists(st.tuples(values), min_size=pool_size, max_size=pool_size))
+    wanted = draw(st.lists(values, min_size=1, max_size=3))
+    fraction = st.floats(min_value=0.0, max_value=1.0)
+    return EvolutionConfig(
+        request=UserRequest(tuple(wanted)),
+        alphabet=make_alphabet(pool_size, pools),
+        rng_seed=draw(seeds),
+        crossover_fraction=draw(fraction),
+        mutation_fraction=draw(fraction),
+        population_floor=draw(st.integers(min_value=pool_size, max_value=12)),
+        generations=draw(st.integers(min_value=1, max_value=4)),
+        discriminating=draw(st.booleans()),
+    )
+
+
 class TestHelperInvariants:
     @given(st.integers(min_value=1, max_value=1000), seeds)
     def test_rand_below_range(self, n, seed):
@@ -297,37 +315,14 @@ class TestHelperInvariants:
         assert len(set(picks)) == k
         assert all(0 <= index < n for index in picks)
 
-    @given(
-        st.floats(min_value=1.0, max_value=50.0),
-        st.integers(min_value=2, max_value=10),
-        st.integers(min_value=1, max_value=500),
-    )
-    def test_target_size_dominates_both_terms(self, mean, alphabet_size, floor):
-        import math
-
-        target = target_population_size(mean, alphabet_size, floor)
-        assert target >= floor
-        assert target >= math.ceil(alphabet_size * mean)
-        assert target == max(floor, math.ceil(alphabet_size * mean))
-
-
-@st.composite
-def small_configs(draw):
-    pool_size = draw(st.integers(min_value=2, max_value=5))
-    values = st.integers(min_value=0, max_value=9)
-    pools = draw(st.lists(st.tuples(values), min_size=pool_size, max_size=pool_size))
-    wanted = draw(st.lists(values, min_size=1, max_size=3))
-    fraction = st.floats(min_value=0.0, max_value=1.0)
-    return EvolutionConfig(
-        request=UserRequest(tuple(wanted)),
-        alphabet=make_alphabet(pool_size, pools),
-        rng_seed=draw(seeds),
-        crossover_fraction=draw(fraction),
-        mutation_fraction=draw(fraction),
-        population_floor=draw(st.integers(min_value=pool_size, max_value=12)),
-        generations=draw(st.integers(min_value=1, max_value=4)),
-        discriminating=draw(st.booleans()),
-    )
+    @given(small_configs())
+    def test_target_size_dominates_both_terms(self, config):
+        # each step selects max(floor, ceil(D * the parents' mean length))
+        yielded = [state.population for state, _ in evolve(config)]
+        for parents, stepped in zip(yielded, yielded[1:]):
+            mean = fmean(map(len, parents.members))
+            scaled = math.ceil(config.alphabet.size * mean)
+            assert len(stepped) == max(config.population_floor, scaled)
 
 
 class TestLoopBuildsValidPopulations:
