@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config, encoding="utf-8") as handle:
+    with open(args.config, encoding="utf-8-sig") as handle:
         config = parse_config(handle.read())
     run_experiment(config, out_dir=args.output_dir)
     return EXIT_OK

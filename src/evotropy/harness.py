@@ -15,7 +15,7 @@ import os
 import random
 import re
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -306,6 +306,25 @@ def render_snapshot(rows: Sequence[Sequence[int]], alphabet_size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# characters of a population file's text split into lines at a time
+_BLOCK = 1 << 16
+
+
+def _lines(text: str):
+    """Yield text.splitlines(), splitting a block of about _BLOCK
+    characters at a time so that no list of every line is built.
+
+    read_text has already turned "\r\n" and "\r" into "\n", and no line
+    break runs past a "\n", so a block that ends just after one splits
+    into exactly the lines the whole text would.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 class _Symbols(dict):
     """{token: int(token)} for one file: each distinct token converted once."""
 
@@ -325,7 +344,8 @@ def read_population_file(path) -> Population:
     is the measure's to say.  Raises ConfigError on a malformed file or
     an agent id outside range(alphabet_size).
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    text = Path(path).read_text(encoding="ascii")
+    lines = _lines(text)
     header: int | None = None
     for line_number, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
@@ -349,15 +369,15 @@ def read_population_file(path) -> Population:
         break
     if header is None:
         raise ConfigError("population file is missing the alphabet_size header")
-    body = lines[line_number:]
     symbols = _Symbols()
     convert = repeat(symbols.__getitem__)
     try:
         # one C-level pass converts every token through the table; a blank
         # line gives an empty tuple, which the filter drops
-        rows = tuple(filter(None, map(tuple, map(map, convert, map(str.split, body)))))
+        rows = tuple(filter(None, map(tuple, map(map, convert, map(str.split, lines)))))
     except ValueError:
-        # only now walk the lines, to name the first one int() rejects
+        # only now walk the lines again, to name the first one int() rejects
+        body = islice(_lines(text), line_number, None)
         for line_number, raw_line in enumerate(body, start=line_number + 1):
             line = raw_line.strip()
             try:

@@ -104,6 +104,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    def test_a_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_bytes(prefix + GOOD_CONFIG.encode("utf-8"))
+            out_dir = tmp_path / name
+            code = main(["run", "--config", str(config), "--output-dir", str(out_dir)])
+            printed = capsys.readouterr()
+            assert (code, printed.err) == (EXIT_OK, "")
+            outputs.append(((out_dir / "stats.csv").read_bytes(), printed.out))
+        assert outputs[0] == outputs[1]
+
     def test_unknown_key_is_a_config_error(self, tmp_path, capsys):
         config = write(tmp_path, "bad.cfg", "rng_seed = 1\nspeed = 11\n")
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG

@@ -3,6 +3,7 @@ import random
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from evotropy import (
     format_stats_csv,
     generate_alphabet,
     generate_request,
+    harness,
     palette_color,
     parse_config,
     physical_complexity_variable,
@@ -526,6 +528,25 @@ class TestReadPopulationFile:
         with pytest.raises(ConfigError, match="no member rows"):
             read_population_file(path)
 
+    def test_the_read_holds_little_more_than_the_text_and_the_rows(self, tmp_path):
+        # the text is held while the rows are built; a list of every line
+        # on top of it would add more than the file's size again
+        rng = random.Random(5)
+        rows = [
+            " ".join(map(str, rng.choices(range(16), k=rng.randint(1, 40))))
+            for _ in range(25_000)
+        ]
+        path = self.write(tmp_path, "alphabet_size=16\n" + "\n".join(rows) + "\n")
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            population = read_population_file(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size > 1_000_000 and len(population) == len(rows)
+        assert peak - held < 1.5 * size
+
 
 def per_token_read(path) -> Population:
     """The reader without its token table: int() per token, and the symbol
@@ -588,8 +609,9 @@ def tokens(draw, high, signs, bad):
     return draw(st.sampled_from(signs)) + digits
 
 
-# str.splitlines() breaks lines at these too; "\r\n" reaches it as "\n"
-LINE_BREAKS = ("\n", "\r\n", "\x0b", "\x0c", "\x1c")
+# every line end str.splitlines() breaks at; read_text's universal
+# newlines turn "\r\n" and "\r" into "\n" before it sees them
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
 
 @st.composite
@@ -626,14 +648,64 @@ def read_outcome(reader, path):
         return type(error), str(error), getattr(error, "sample_sizes", None)
 
 
+def same_outcome(text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "population.txt"
+        path.write_bytes(text.encode("ascii"))
+        expected = read_outcome(per_token_read, path)
+        assert read_outcome(read_population_file, path) == expected
+
+
 class TestReaderMatchesPerTokenReference:
     @given(population_files())
     def test_same_population_or_same_error(self, text):
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "population.txt"
-            path.write_text(text, encoding="ascii")
-            expected = read_outcome(per_token_read, path)
-            assert read_outcome(read_population_file, path) == expected
+        same_outcome(text)
+
+    @given(population_files(), st.integers(min_value=1, max_value=24))
+    def test_same_at_any_block_size(self, text, block):
+        with mock.patch.object(harness, "_BLOCK", block):
+            same_outcome(text)
+
+
+# a row spread over 128 characters, so a block holds few lines
+FILLER = " ".join("0123").ljust(127) + "\n"
+# lines put where a block ends: blank, whitespace-only, good and bad rows
+PROBES = {
+    "rows": ["", " \t ", "1 2", "3"],
+    "bad-token-first": ["1 x", "2"],
+    "bad-token-second": ["", "2 +-1", "3"],
+}
+
+
+def across_a_block_end(end, shift, probe):
+    """A file of three blocks whose `probe` lines, each ended by `end`,
+    follow a "\n" `shift` characters past harness._BLOCK, the first place
+    a block may end.
+
+    From shift 0 on, the probe lines open the second block; below it, a
+    line end among them closes the first one when it is a newline.
+    """
+    text = "alphabet_size=4\n" + FILLER * ((harness._BLOCK - 200) // len(FILLER))
+    text += "0" + " " * (harness._BLOCK + shift - len(text) - 1)
+    text += "\n" + "".join(line + end for line in probe)
+    return text + FILLER * ((harness._BLOCK + 1000) // len(FILLER))
+
+
+class TestReaderAcrossBlocks:
+    @pytest.mark.parametrize("probe", PROBES)
+    @pytest.mark.parametrize("end", LINE_BREAKS)
+    def test_same_as_per_token_read(self, end, probe):
+        for shift in range(-6, 2):
+            text = across_a_block_end(end, shift, PROBES[probe])
+            assert text[harness._BLOCK + shift] == "\n"
+            assert len(text) > 2 * harness._BLOCK
+            same_outcome(text)
+
+    @pytest.mark.parametrize("header", ["alphabet_size=4", "alphabet_size 4"])
+    @pytest.mark.parametrize("end", LINE_BREAKS)
+    def test_a_header_in_a_later_block(self, end, header):
+        blank = (" " * 60 + "\n") * (harness._BLOCK // 61 + 1)
+        same_outcome(blank + blank + header + end + "0 1" + end + "2 3\n")
 
 
 def small_config(**overrides):
