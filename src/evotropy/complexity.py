@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import Iterator
 
-from .core import Population
+from .core import Population, _Record
 
 __all__ = [
     "ComplexityReport",
@@ -31,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(_Record):
     """Everything measured about one population in a single pass."""
 
     calculable_length: int

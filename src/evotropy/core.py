@@ -12,10 +12,9 @@ copied, hashed and compared structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from operator import index
-from typing import Iterable, Sequence
 
 __all__ = [
     "Alphabet",
@@ -24,8 +23,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """An immutable value whose fields are its class annotations, in order.
+
+    Each subclass gets a constructor that takes its fields in that order,
+    with the defaults its class body gives them, stores them and calls
+    _post_init to normalise and check them.  Equality, hashing and repr go
+    by the fields alone; assigning or deleting an attribute afterwards
+    raises AttributeError.  Pickling and copying restore the attributes
+    as stored, without running the constructor again.
+    """
+
+    _fields = ()  # set on each subclass
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        # a generated constructor keeps the real signature, so a missing or
+        # unknown argument fails as for any function; Python rejects a
+        # field without a default after one with a default
+        params = ", ".join(
+            f"{name}=cls.{name}" if name in cls.__dict__ else name
+            for name in cls._fields
+        )
+        body = "".join(f"\n    store(self, {name!r}, {name})" for name in cls._fields)
+        scope = {"cls": cls, "store": object.__setattr__}
+        exec(f"def __init__(self, {params}):{body}\n    self._post_init()", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _post_init(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_Record):
     """Ordered pool of agents, each one the tuple of its attribute values.
 
     Agent i's attributes sit at index i, so an agent id is its position
@@ -35,7 +86,7 @@ class Alphabet:
 
     agents: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
         agents = tuple(map(tuple, self.agents))
         object.__setattr__(self, "agents", agents)
         if len(agents) < 2:
@@ -56,8 +107,7 @@ def _is_agent_id(symbol, size: int) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Population:
+class Population(_Record):
     """A multiset of agent sequences over an alphabet of alphabet_size agents.
 
     Each member is a non-empty tuple of agent ids; the constructor turns
@@ -71,7 +121,7 @@ class Population:
     members: tuple[tuple[int, ...], ...]
     alphabet_size: int
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
         members = tuple(map(tuple, self.members))
         object.__setattr__(self, "members", members)
         size = self.alphabet_size
@@ -124,13 +174,12 @@ class Population:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class UserRequest:
+class UserRequest(_Record):
     """The attribute values an evolved sequence is asked to provide."""
 
     required: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
         object.__setattr__(self, "required", tuple(self.required))
         if not self.required:
             raise ValueError("request must name at least one attribute value")

@@ -14,13 +14,12 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
 from itertools import accumulate
 from operator import truediv
-from typing import Iterator, Sequence
 
 from .complexity import physical_complexity_variable
-from .core import Alphabet, Population, UserRequest
+from .core import Alphabet, Population, UserRequest, _Record
 
 __all__ = [
     "INITIAL_LENGTH_RANGE",
@@ -78,14 +77,15 @@ def sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     return indices[:k]
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
+class EvolutionConfig(_Record):
     """Knobs for one evolutionary run.
 
     `discriminating` switches between fitness-proportional survival and
     an equal-probability baseline; nothing else in the pipeline changes,
     so the two modes isolate exactly the effect of selection pressure.
-    `gaps`, the fitness gap table of the run, is built with the config.
+    `gaps`, the fitness gap table of the run, is built with the config;
+    derived from the fields, it is not one of them, so it stays out of
+    equality, hashing, repr and pickles.
     """
 
     request: UserRequest
@@ -97,9 +97,8 @@ class EvolutionConfig:
     population_floor: int = 160
     generations: int = 300
     discriminating: bool = True
-    gaps: list[list[int]] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
         check_settings(self, self.alphabet.size)
         object.__setattr__(self, "gaps", _gap_table(self.request, self.alphabet))
         _check_smallest_weight(self)
@@ -174,23 +173,21 @@ def check_settings(settings, pool_size: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class EvolutionState:
+class EvolutionState(_Record):
     """Generation counter, current population, and the PRNG state to resume from."""
 
     generation: int
     population: Population
     rng_state: tuple
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
         if self.generation < 0:
             raise ValueError(f"generation must be >= 0, got {self.generation}")
         if len(self.population) == 0:
             raise ValueError("evolution state requires a non-empty population")
 
 
-@dataclass(frozen=True)
-class GenerationStats:
+class GenerationStats(_Record):
     """One row of the per-generation record.
 
     max_fitness and mean_fitness are raw (pre-parsimony) fitness
@@ -209,7 +206,7 @@ class GenerationStats:
     complexity: float
     efficiency: float
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
         if self.max_fitness < self.mean_fitness - 1e-12:
             raise ValueError("max_fitness cannot be below mean_fitness")
         if self.population_size < 1:
@@ -390,15 +387,22 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-@dataclass(slots=True)
 class _RunState:
     """What evolve keeps from one step to the next: the live Random, so no
     step rebuilds it from rng_state, the {symbols: raw fitness} table of
     the last population scored, and the member lengths of the next one."""
 
-    rng: random.Random
-    scores: dict[tuple[int, ...], float]
-    lengths: list[int]
+    __slots__ = ("rng", "scores", "lengths")
+
+    def __init__(
+        self,
+        rng: random.Random,
+        scores: dict[tuple[int, ...], float],
+        lengths: list[int],
+    ) -> None:
+        self.rng = rng
+        self.scores = scores
+        self.lengths = lengths
 
 
 def _stats_for(

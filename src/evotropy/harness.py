@@ -14,12 +14,11 @@ import colorsys
 import os
 import random
 import re
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Sequence
 
-from .core import Alphabet, Population, UserRequest
+from .core import Alphabet, Population, UserRequest, _Record
 from .evolution import (
     ConfigError,
     EvolutionConfig,
@@ -48,7 +47,7 @@ __all__ = [
 
 MODES = ("discriminating", "nondiscriminating")
 
-STATS_HEADER = ",".join(field.name for field in fields(GenerationStats))
+STATS_HEADER = ",".join(GenerationStats.__annotations__)
 
 # the padding pixel, as P3 text
 WHITE = "255 255 255"
@@ -56,8 +55,7 @@ WHITE = "255 255 255"
 _ARTIFACT = re.compile(r"stats\.csv|snap_[0-9]+\.(txt|ppm)")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Scalar experiment settings.
 
     The alphabet and request are not stored here: they are derived from
@@ -84,7 +82,7 @@ class RunConfig:
     snapshot_every: int = 0
     output_dir: str = "out"
 
-    def __post_init__(self) -> None:
+    def _post_init(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(
                 f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"
@@ -121,7 +119,9 @@ _CONVERTERS = {
     "float": (float, "a number"),
     "str": (str, ""),
 }
-_KEY_CONVERTERS = {field.name: _CONVERTERS[field.type] for field in fields(RunConfig)}
+_KEY_CONVERTERS = {
+    name: _CONVERTERS[kind] for name, kind in RunConfig.__annotations__.items()
+}
 
 
 def _convert(key: str, text: str, line_number: int):
@@ -226,8 +226,8 @@ def _real(value: float) -> str:
 # each stats.csv column's name and formatter, read off its GenerationStats
 # annotation: reals through _real, integers through str
 _STATS_COLUMNS = [
-    (field.name, _real if field.type == "float" else str)
-    for field in fields(GenerationStats)
+    (name, _real if kind == "float" else str)
+    for name, kind in GenerationStats.__annotations__.items()
 ]
 
 

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 
 import pytest
 
@@ -26,7 +26,7 @@ class TestAgent:
     def test_is_immutable(self):
         alphabet = make_alphabet(2)
         assert isinstance(alphabet.agents[0], tuple)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'agents'$"):
             alphabet.agents = ((1,), (0,))
 
 
@@ -107,7 +107,7 @@ class TestPopulation:
     def test_records_the_alphabet_size_and_no_agents(self):
         population = Population.from_rows(3, [[0, 2]])
         assert population.alphabet_size == 3
-        fields = [field.name for field in dataclasses.fields(Population)]
+        fields = list(inspect.signature(Population).parameters)
         assert fields == ["members", "alphabet_size"]
 
     @pytest.mark.parametrize("size", [1, 0, -2])

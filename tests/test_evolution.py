@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -392,6 +394,11 @@ class TestConfigAndState:
         assert config.gaps == [[0, 2], [2, 0]]
         assert config == self.config() and hash(config) == hash(self.config())
         assert "gaps" not in repr(config)
+
+    def test_gap_table_survives_pickle_and_copy(self):
+        config = self.config()
+        for twin in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+            assert twin.gaps == config.gaps == [[0, 2], [2, 0]]
 
     def test_rejects_floor_below_alphabet_size(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,21 @@
 """The package exports exactly the union of its modules' public lists,
 uses every function it exports, imports nothing outside the standard
-library, and runs the README's quick start as written."""
+library nor any slow-to-import part of it, keeps its value types
+immutable, comparable and copyable, and runs the README's quick start
+as written."""
 
 import ast
+import copy
 import inspect
+import pickle
 import re
+import subprocess
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
+
+import pytest
 
 import evotropy
 from evotropy import complexity, core, evolution, harness
@@ -105,6 +113,78 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 root = name.split(".")[0]
                 assert root in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+# modules that cost start-up time every run pays and that nothing needs
+SLOW_IMPORTS = (
+    "dataclasses",
+    "inspect",
+    "typing",
+    "statistics",
+    "decimal",
+    "fractions",
+)
+
+
+def test_the_cli_imports_no_slow_module():
+    # -I -S: no site hooks or environment variables load modules beforehand
+    package_parent = str(Path(evotropy.__file__).resolve().parent.parent)
+    script = (
+        f"import sys; sys.path.insert(0, {package_parent!r}); "
+        "import evotropy.cli; print(*sys.modules, sep='\\n')"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout.split()
+    assert "evotropy.cli" in loaded
+    assert [name for name in SLOW_IMPORTS if name in loaded] == []
+
+
+def seed_42_values():
+    """One value of each public value type, from the first generation of
+    the default seed-42 run."""
+    run_config = harness.RunConfig(rng_seed=42)
+    config = harness.build_evolution_config(run_config)
+    state, stats = next(islice(evolution.evolve(config), 1, None))
+    return {
+        "RunConfig": run_config,
+        "EvolutionConfig": config,
+        "Alphabet": config.alphabet,
+        "UserRequest": config.request,
+        "Population": state.population,
+        "EvolutionState": state,
+        "GenerationStats": stats,
+        "ComplexityReport": complexity.physical_complexity_variable(state.population),
+    }
+
+
+VALUES = seed_42_values()
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_types_copy_compare_and_stay_frozen(name):
+    value = VALUES[name]
+    assert type(value).__name__ == name
+    copies = [
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ]
+    for twin in copies:
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+    field = next(iter(inspect.signature(type(value)).parameters))
+    kept = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, kept)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is kept
 
 
 def test_the_package_version_is_the_project_version():
