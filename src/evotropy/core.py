@@ -1,9 +1,10 @@
 """Domain types for populations of agent sequences.
 
-An Alphabet is the global pool of agents available to a system, each
-agent the tuple of its attribute values and its id its position in the
-pool; an individual is a non-empty tuple of agent ids, nothing more,
-since the measures read a population as an ensemble of symbol strings.
+An alphabet is the global pool of agents available to a system, a tuple
+of agents, each agent the tuple of its attribute values and its id its
+position in the pool; an individual is a non-empty tuple of agent ids,
+nothing more, since the measures read a population as an ensemble of
+symbol strings.
 A Population is a multiset of those tuples together with the size of
 the alphabet they are drawn from, the one thing the measures need of it.
 Everything here is an immutable value object so populations can be
@@ -17,9 +18,7 @@ from itertools import chain
 from operator import index
 
 __all__ = [
-    "Alphabet",
     "Population",
-    "UserRequest",
 ]
 
 
@@ -74,29 +73,6 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Alphabet(_Record):
-    """Ordered pool of agents, each one the tuple of its attribute values.
-
-    Agent i's attributes sit at index i, so an agent id is its position
-    in the pool, and the pool size is the base of every entropy computed
-    over populations drawn from it.
-    """
-
-    agents: tuple[tuple[int, ...], ...]
-
-    def _post_init(self) -> None:
-        agents = tuple(map(tuple, self.agents))
-        object.__setattr__(self, "agents", agents)
-        if len(agents) < 2:
-            raise ValueError(f"alphabet needs at least 2 agents, got {len(agents)}")
-        if not all(agents):
-            raise ValueError("agent must carry at least one attribute value")
-
-    @property
-    def size(self) -> int:
-        return len(self.agents)
 
 
 def _is_agent_id(symbol, size: int) -> bool:
@@ -172,15 +148,3 @@ class Population(_Record):
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-class UserRequest(_Record):
-    """The attribute values an evolved sequence is asked to provide."""
-
-    required: tuple[int, ...]
-
-    def _post_init(self) -> None:
-        object.__setattr__(self, "required", tuple(self.required))
-        if not self.required:
-            raise ValueError("request must name at least one attribute value")
-

@@ -19,7 +19,7 @@ from itertools import accumulate
 from operator import truediv
 
 from .complexity import physical_complexity_variable
-from .core import Alphabet, Population, UserRequest, _Record
+from .core import Population, _Record
 
 __all__ = [
     "INITIAL_LENGTH_RANGE",
@@ -78,7 +78,12 @@ def sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
 
 
 class EvolutionConfig(_Record):
-    """Knobs for one evolutionary run.
+    """Knobs for one evolutionary run, and the world it runs in.
+
+    `alphabet` is the agent pool, a tuple of agents, agent i the tuple of
+    its attribute values at index i; `request` is the tuple of attribute
+    values asked for.  The constructor turns any rows of ints into those
+    tuples.
 
     `discriminating` switches between fitness-proportional survival and
     an equal-probability baseline; nothing else in the pipeline changes,
@@ -88,8 +93,8 @@ class EvolutionConfig(_Record):
     equality, hashing, repr and pickles.
     """
 
-    request: UserRequest
-    alphabet: Alphabet
+    request: tuple[int, ...]
+    alphabet: tuple[tuple[int, ...], ...]
     rng_seed: int
     crossover_fraction: float = 0.10
     mutation_fraction: float = 0.10
@@ -99,7 +104,16 @@ class EvolutionConfig(_Record):
     discriminating: bool = True
 
     def _post_init(self) -> None:
-        check_settings(self, self.alphabet.size)
+        alphabet = tuple(map(tuple, self.alphabet))
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "request", tuple(self.request))
+        if len(alphabet) < 2:
+            raise ValueError(f"alphabet needs at least 2 agents, got {len(alphabet)}")
+        if not all(alphabet):
+            raise ValueError("agent must carry at least one attribute value")
+        if not self.request:
+            raise ValueError("request must name at least one attribute value")
+        check_settings(self, len(alphabet))
         object.__setattr__(self, "gaps", _gap_table(self.request, self.alphabet))
         _check_smallest_weight(self)
 
@@ -213,14 +227,13 @@ class GenerationStats(_Record):
             raise ValueError("population_size must be >= 1")
 
 
-def _gap_table(request: UserRequest, alphabet: Alphabet) -> list[list[int]]:
+def _gap_table(
+    request: tuple[int, ...], alphabet: tuple[tuple[int, ...], ...]
+) -> list[list[int]]:
     """gap[a][j]: distance from request value j to agent a's closest attribute."""
     return [
-        [
-            min(abs(wanted - value) for value in attributes)
-            for wanted in request.required
-        ]
-        for attributes in alphabet.agents
+        [min(abs(wanted - value) for value in attributes) for wanted in request]
+        for attributes in alphabet
     ]
 
 
@@ -254,7 +267,9 @@ def _scores(
 
 
 def fitness(
-    symbols: tuple[int, ...], request: UserRequest, alphabet: Alphabet
+    symbols: tuple[int, ...],
+    request: tuple[int, ...],
+    alphabet: tuple[tuple[int, ...], ...],
 ) -> float:
     """How closely the pooled attributes of a symbol run cover the request.
 
@@ -357,7 +372,9 @@ def crossover_pair(
 
 
 def mutate(
-    symbols: tuple[int, ...], alphabet: Alphabet, rng: random.Random
+    symbols: tuple[int, ...],
+    alphabet: tuple[tuple[int, ...], ...],
+    rng: random.Random,
 ) -> tuple[int, ...]:
     """Apply one point mutation: insert, replace or delete, chosen uniformly.
 
@@ -366,17 +383,18 @@ def mutate(
     other alphabet symbols, so the output always differs from the input
     in exactly one edit.
     """
+    size = len(alphabet)
     kind = _MUTATION_KINDS[rand_below(rng, 3)]
     if kind == "delete" and len(symbols) == 1:
         kind = "replace"
     if kind == "insert":
         position = rand_below(rng, len(symbols) + 1)
-        symbol = rand_below(rng, alphabet.size)
+        symbol = rand_below(rng, size)
         return symbols[:position] + (symbol,) + symbols[position:]
     if kind == "replace":
         position = rand_below(rng, len(symbols))
-        offset = 1 + rand_below(rng, alphabet.size - 1)
-        symbol = (symbols[position] + offset) % alphabet.size
+        offset = 1 + rand_below(rng, size - 1)
+        symbol = (symbols[position] + offset) % size
         return symbols[:position] + (symbol,) + symbols[position + 1 :]
     position = rand_below(rng, len(symbols))
     return symbols[:position] + symbols[position + 1 :]
@@ -430,7 +448,8 @@ def step_generation(
     """Advance one generation: evaluate, select, recombine, mutate, measure.
 
     The order is fixed: raw fitness for everyone, parsimony adjustment
-    against the current mean length, roulette selection to the dynamic
+    against the current mean length (when discriminating; the baseline
+    weighs everyone alike), roulette selection to the dynamic
     target size, one-point crossover on a random even-sized slice of the
     survivors, single point mutations on a random slice of the result
     (crossover children included), then the complexity report of the new
@@ -444,10 +463,11 @@ def step_generation(
     their lengths, which gives the same result.
     """
     alphabet = config.alphabet
+    size = len(alphabet)
     # the populations built below skip the symbol check: they hold only
     # members of this one, whose symbols lie below its alphabet_size, and
-    # symbols drawn below alphabet.size
-    if state.population.alphabet_size != alphabet.size:
+    # symbols drawn below the alphabet's size
+    if state.population.alphabet_size != size:
         raise ValueError("the state's population is not over the config's alphabet")
     members = state.population.members
     if _run is None:
@@ -458,15 +478,17 @@ def step_generation(
 
     raw, _run.scores = _scores(members, config.gaps, _run.scores)
     mean_length = _mean(_run.lengths)
-    adjusted = parsimony_adjusted_fitness(
-        raw, _run.lengths, mean_length, config.parsimony_coefficient
-    )
-    # the nondiscriminating baseline feeds flat weights to the same roulette
-    weights = adjusted if config.discriminating else [1.0] * len(members)
+    if config.discriminating:
+        weights = parsimony_adjusted_fitness(
+            raw, _run.lengths, mean_length, config.parsimony_coefficient
+        )
+    else:
+        # the nondiscriminating baseline feeds flat weights to the same roulette
+        weights = [1.0] * len(members)
 
     # the population grows with the mean length, so site statistics keep
     # pace with the sequences
-    target = max(config.population_floor, math.ceil(alphabet.size * mean_length))
+    target = max(config.population_floor, math.ceil(size * mean_length))
     survivors = list(select(state.population, weights, target, rng).members)
 
     paired = int(config.crossover_fraction * len(survivors))
@@ -482,7 +504,7 @@ def step_generation(
     for index in sample_indices(rng, len(survivors), mutated):
         survivors[index] = mutate(survivors[index], alphabet, rng)
 
-    next_population = Population._trusted(tuple(survivors), alphabet.size)
+    next_population = Population._trusted(tuple(survivors), size)
     _run.lengths = list(map(len, survivors))
     stats = _stats_for(state.generation + 1, raw, next_population, _run.lengths)
     next_state = EvolutionState(
@@ -504,14 +526,13 @@ def evolve(config: EvolutionConfig) -> Iterator[tuple[EvolutionState, Generation
     to every step.
     """
     rng = random.Random(config.rng_seed)
+    size = len(config.alphabet)
     low, high = INITIAL_LENGTH_RANGE
     members = []
     for _ in range(config.population_floor):
         length = rand_int(rng, low, high)
-        members.append(
-            tuple(rand_below(rng, config.alphabet.size) for _ in range(length))
-        )
-    population = Population(tuple(members), config.alphabet.size)
+        members.append(tuple(rand_below(rng, size) for _ in range(length)))
+    population = Population(tuple(members), size)
     state = EvolutionState(0, population, rng.getstate())
     raw, scores = _scores(members, config.gaps, {})
     run_state = _RunState(rng, scores, list(map(len, members)))

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from itertools import chain, islice, repeat
 from pathlib import Path
 
-from .core import Alphabet, Population, UserRequest, _Record
+from .core import Population, _Record
 from .evolution import (
     ConfigError,
     EvolutionConfig,
@@ -61,7 +61,8 @@ class RunConfig(_Record):
     The alphabet and request are not stored here: they are derived from
     rng_seed together with the pool/request shape keys, so the config
     file stays a flat list of scalars.  Defaults below are the documented
-    defaults of the config format; rng_seed is the one required key.
+    defaults of the config format, those of the settings it shares with
+    EvolutionConfig taken from there; rng_seed is the one required key.
     Construction raises ConfigError on every limit the scalars decide
     alone.  The gap-sum and selection-weight limits need the generated
     world, so build_evolution_config checks those.
@@ -69,11 +70,11 @@ class RunConfig(_Record):
 
     rng_seed: int
     mode: str = "discriminating"
-    generations: int = 300
-    crossover_fraction: float = 0.10
-    mutation_fraction: float = 0.10
-    parsimony_coefficient: float = 0.1
-    population_floor: int = 160
+    generations: int = EvolutionConfig.generations
+    crossover_fraction: float = EvolutionConfig.crossover_fraction
+    mutation_fraction: float = EvolutionConfig.mutation_fraction
+    parsimony_coefficient: float = EvolutionConfig.parsimony_coefficient
+    population_floor: int = EvolutionConfig.population_floor
     pool_size: int = 16
     attributes_per_agent: int = 2
     request_length: int = 4
@@ -171,21 +172,19 @@ def generate_alphabet(
     attributes_per_agent: int,
     low: int,
     high: int,
-) -> Alphabet:
+) -> tuple[tuple[int, ...], ...]:
     """Agent pool with uniformly random attribute values in [low, high]."""
-    return Alphabet(
-        tuple(
-            tuple(rand_int(rng, low, high) for _ in range(attributes_per_agent))
-            for _ in range(pool_size)
-        )
+    return tuple(
+        tuple(rand_int(rng, low, high) for _ in range(attributes_per_agent))
+        for _ in range(pool_size)
     )
 
 
 def generate_request(
     rng: random.Random, length: int, low: int, high: int
-) -> UserRequest:
+) -> tuple[int, ...]:
     """Request of `length` uniformly random attribute values in [low, high]."""
-    return UserRequest(tuple(rand_int(rng, low, high) for _ in range(length)))
+    return tuple(rand_int(rng, low, high) for _ in range(length))
 
 
 def build_evolution_config(config: RunConfig) -> EvolutionConfig:
@@ -438,7 +437,7 @@ def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
             _drop_stale(stale, f"snap_{generation}.txt")
             _write_atomic(
                 directory / f"snap_{generation}.ppm",
-                render_snapshot(rows, evolution_config.alphabet.size),
+                render_snapshot(rows, len(evolution_config.alphabet)),
             )
     write_stats_csv(stats, directory / "stats.csv")
     _drop_stale(stale, "stats.csv")

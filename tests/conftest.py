@@ -1,7 +1,6 @@
 import pytest
 
 from evotropy import (
-    Alphabet,
     Population,
     UnmeasurablePopulationError,
     complexity,
@@ -10,15 +9,16 @@ from evotropy import (
 
 
 def make_alphabet(size, attributes=None):
-    """Alphabet of `size` agents; agent i carries attributes[i] or (i,)."""
+    """Alphabet of `size` agents, a tuple of attribute tuples; agent i
+    carries attributes[i] or (i,)."""
     if attributes is None:
         attributes = [(index,) for index in range(size)]
-    return Alphabet(attributes[:size])
+    return tuple(map(tuple, attributes[:size]))
 
 
 def make_population(alphabet, rows):
     """Population of `rows` over the size of `alphabet`."""
-    return Population.from_rows(alphabet.size, rows)
+    return Population.from_rows(len(alphabet), rows)
 
 
 def sample_sizes(rows, alphabet_size=2):

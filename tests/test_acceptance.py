@@ -19,7 +19,6 @@ from conftest import make_alphabet, make_population
 from evotropy import (
     RunConfig,
     UnmeasurablePopulationError,
-    UserRequest,
     build_evolution_config,
     crossover_pair,
     evolve,
@@ -295,20 +294,14 @@ def test_criterion_7_operator_invariants(announce):
                 for _ in range(pool_size)
             ]
             alphabet = make_alphabet(pool_size, attributes)
-            request = UserRequest(
-                tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 4)))
-            )
+            request = tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 4)))
             individual = random_sequence(pool_size, max_length=5)
             score = fitness(individual, request, alphabet)
             if not 0.0 < score <= 1.0:
                 ok, detail = False, f"fitness case {case}: score {score} out of range"
                 break
-            pooled = {
-                value
-                for symbol in individual
-                for value in alphabet.agents[symbol]
-            }
-            covered = all(value in pooled for value in request.required)
+            pooled = {value for symbol in individual for value in alphabet[symbol]}
+            covered = all(value in pooled for value in request)
             if (score == 1.0) != covered:
                 ok, detail = False, f"fitness case {case}: exactness mismatch"
                 break

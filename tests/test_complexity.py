@@ -114,7 +114,7 @@ class TestCalculableLength:
 
     def test_rejects_empty_population(self, alphabet3):
         with pytest.raises(ValueError):
-            physical_complexity_variable(Population((), alphabet3.size))
+            physical_complexity_variable(Population((), len(alphabet3)))
 
     def test_agrees_with_naive_oracle(self, alphabet3):
         rows = [[0, 1], [1], [2, 2, 2], [0, 0], [1, 1], [2, 0], [0, 1, 2]]

@@ -4,40 +4,54 @@ import pytest
 
 from conftest import make_alphabet, make_population
 from evotropy import (
-    Alphabet,
+    EvolutionConfig,
     Population,
-    UserRequest,
+    evolve,
 )
+
+
+def world(alphabet=((0,), (1,)), request=(0,)):
+    """A config over `alphabet` and `request`.
+
+    An alphabet and a request are plain tuples; the config that holds
+    them turns rows of ints into those tuples and checks them, so their
+    rules are tested through it.
+    """
+    return EvolutionConfig(request=request, alphabet=alphabet, rng_seed=0)
 
 
 class TestAgent:
     """An agent is the tuple of its attribute values, at its id's index."""
 
     def test_list_attributes_come_back_as_tuples(self):
-        alphabet = Alphabet([[1, 4], (0,)])
-        assert alphabet.agents == ((1, 4), (0,))
+        assert world([[1, 4], (0,)]).alphabet == ((1, 4), (0,))
 
     def test_rejects_empty_attributes(self):
         with pytest.raises(
             ValueError, match="^agent must carry at least one attribute value$"
         ):
-            Alphabet(((0,), ()))
+            world(((0,), ()))
 
     def test_is_immutable(self):
-        alphabet = make_alphabet(2)
-        assert isinstance(alphabet.agents[0], tuple)
-        with pytest.raises(AttributeError, match="^cannot assign to field 'agents'$"):
-            alphabet.agents = ((1,), (0,))
+        config = world(make_alphabet(2))
+        assert isinstance(config.alphabet[0], tuple)
+        with pytest.raises(AttributeError, match="^cannot assign to field 'alphabet'$"):
+            config.alphabet = ((1,), (0,))
 
 
 class TestAlphabet:
     def test_size(self):
-        assert make_alphabet(5).size == 5
+        # the number of agents is the size every population is drawn over
+        config = EvolutionConfig(
+            request=(0,), alphabet=make_alphabet(5), rng_seed=0, generations=0
+        )
+        [(state, _)] = evolve(config)
+        assert state.population.alphabet_size == len(config.alphabet) == 5
 
     def test_rejects_fewer_than_two_agents(self):
         message = "^alphabet needs at least 2 agents, got 1$"
         with pytest.raises(ValueError, match=message):
-            Alphabet(((0,),))
+            world(((0,),))
 
 
 class TestPopulationMembers:
@@ -102,7 +116,7 @@ class TestPopulation:
             make_population(alphabet2, [[0, 1], [1, 5, -1], [-3]])
 
     def test_empty_population_is_allowed(self, alphabet2):
-        assert len(Population((), alphabet2.size)) == 0
+        assert len(Population((), len(alphabet2))) == 0
 
     def test_records_the_alphabet_size_and_no_agents(self):
         population = Population.from_rows(3, [[0, 2]])
@@ -122,9 +136,10 @@ class TestPopulation:
 
 class TestUserRequest:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            UserRequest(())
+        with pytest.raises(
+            ValueError, match="^request must name at least one attribute value$"
+        ):
+            world(request=())
 
     def test_holds_values(self):
-        assert UserRequest((4, 4, 2)).required == (4, 4, 2)
-
+        assert world(request=[4, 4, 2]).request == (4, 4, 2)

@@ -16,7 +16,6 @@ from evotropy import (
     GenerationStats,
     Population,
     UnmeasurablePopulationError,
-    UserRequest,
     crossover_pair,
     evolution,
     evolve,
@@ -90,33 +89,29 @@ class TestFitness:
     def test_exact_coverage_scores_one(self):
         alphabet = make_alphabet(2, [(3,), (5,)])
         individual = (0, 1)
-        assert fitness(individual, UserRequest((3, 5)), alphabet) == 1.0
+        assert fitness(individual, (3, 5), alphabet) == 1.0
 
     def test_single_gap_of_two(self):
         alphabet = make_alphabet(2, [(6,), (6,)])
         individual = (0,)
-        assert fitness(individual, UserRequest((4,)), alphabet) == pytest.approx(
-            1.0 / 3.0
-        )
+        assert fitness(individual, (4,), alphabet) == pytest.approx(1.0 / 3.0)
 
     def test_gaps_sum_across_request_values(self):
         alphabet = make_alphabet(2, [(2,), (9,)])
         individual = (0, 1)
         # 2 matched exactly, 7 is 2 away from 9
-        assert fitness(
-            individual, UserRequest((2, 7)), alphabet
-        ) == pytest.approx(1.0 / 3.0)
+        assert fitness(individual, (2, 7), alphabet) == pytest.approx(1.0 / 3.0)
 
     def test_attributes_pool_across_agents(self):
         alphabet = make_alphabet(2, [(1, 8), (4,)])
         individual = (0,)
         # the second attribute of agent 0 covers 8 without agent 1
-        assert fitness(individual, UserRequest((8,)), alphabet) == 1.0
+        assert fitness(individual, (8,), alphabet) == 1.0
 
     def test_duplicate_agents_do_not_change_the_score(self):
         alphabet = make_alphabet(2, [(3,), (5,)])
-        once = fitness((0,), UserRequest((4,)), alphabet)
-        thrice = fitness((0, 0, 0), UserRequest((4,)), alphabet)
+        once = fitness((0,), (4,), alphabet)
+        thrice = fitness((0, 0, 0), (4,), alphabet)
         assert once == thrice
 
 
@@ -322,7 +317,7 @@ class TestTargetPopulationSize:
 
     def stepped_size(self, alphabet_size, floor, rows):
         config = EvolutionConfig(
-            request=UserRequest((0,)),
+            request=(0,),
             alphabet=make_alphabet(alphabet_size),
             rng_seed=7,
             population_floor=floor,
@@ -343,7 +338,7 @@ class TestTargetPopulationSize:
 
 class TestConfigAndState:
     def request(self):
-        return UserRequest((3, 5))
+        return (3, 5)
 
     def config(self, **overrides):
         alphabet = make_alphabet(2, [(3,), (5,)])
@@ -387,7 +382,7 @@ class TestConfigAndState:
     def test_rejects_a_gap_sum_beyond_float(self):
         alphabet = make_alphabet(2, [(0,), (10**308,)])
         with pytest.raises(ConfigError, match="attribute_max"):
-            self.config(alphabet=alphabet, request=UserRequest((10**308,) * 2))
+            self.config(alphabet=alphabet, request=(10**308,) * 2)
 
     def test_gap_table_is_kept_out_of_eq_hash_repr(self):
         config = self.config()
@@ -421,7 +416,7 @@ class TestConfigAndState:
 
     def test_state_rejects_empty_population(self, alphabet2):
         with pytest.raises(ValueError):
-            EvolutionState(0, Population((), alphabet2.size), random.Random(0).getstate())
+            EvolutionState(0, Population((), len(alphabet2)), random.Random(0).getstate())
 
     def test_stats_reject_max_below_mean(self):
         with pytest.raises(ValueError):
@@ -447,7 +442,7 @@ class TestStepGeneration:
         # members spelling (0, 1) pool attributes {3, 5} and match exactly
         alphabet = make_alphabet(2, [(3,), (5,)])
         defaults = dict(
-            request=UserRequest((3, 5)),
+            request=(3, 5),
             alphabet=alphabet,
             rng_seed=5,
             crossover_fraction=0.0,
@@ -483,7 +478,7 @@ class TestStepGeneration:
     def test_fitness_columns_describe_the_parents(self):
         alphabet = make_alphabet(2, [(3,), (5,)])
         config = EvolutionConfig(
-            request=UserRequest((3, 5)),
+            request=(3, 5),
             alphabet=alphabet,
             rng_seed=6,
             crossover_fraction=0.0,
@@ -499,7 +494,7 @@ class TestStepGeneration:
     def test_selection_pressure_favours_the_fit(self):
         alphabet = make_alphabet(2, [(3,), (9,)])
         config = EvolutionConfig(
-            request=UserRequest((3,)),
+            request=(3,),
             alphabet=alphabet,
             rng_seed=7,
             crossover_fraction=0.0,
@@ -520,7 +515,7 @@ class TestStepGeneration:
         # parent population measurable, however small the parent
         alphabet = make_alphabet(3)
         config = EvolutionConfig(
-            request=UserRequest((0,)),
+            request=(0,),
             alphabet=alphabet,
             rng_seed=8,
             crossover_fraction=0.0,
@@ -592,7 +587,7 @@ class TestStepGeneration:
     def test_nondiscriminating_ignores_fitness(self):
         alphabet = make_alphabet(2, [(3,), (9,)])
         config = EvolutionConfig(
-            request=UserRequest((3,)),
+            request=(3,),
             alphabet=alphabet,
             rng_seed=11,
             crossover_fraction=0.0,
@@ -631,7 +626,7 @@ class TestRun:
     def quick_config(self, **overrides):
         alphabet = make_alphabet(2, [(3,), (5,)])
         defaults = dict(
-            request=UserRequest((3, 5)),
+            request=(3, 5),
             alphabet=alphabet,
             rng_seed=12,
             generations=5,
@@ -703,10 +698,10 @@ class TestRun:
 
 
 class TestEvolve:
-    def config(self):
+    def config(self, **overrides):
         # crossover and mutation touch half the members every generation
-        return EvolutionConfig(
-            request=UserRequest((3, 5, 7)),
+        settings = dict(
+            request=(3, 5, 7),
             alphabet=make_alphabet(3, [(3,), (5,), (7,)]),
             rng_seed=21,
             crossover_fraction=0.5,
@@ -714,6 +709,7 @@ class TestEvolve:
             population_floor=12,
             generations=8,
         )
+        return EvolutionConfig(**{**settings, **overrides})
 
     def test_stepping_any_yielded_state_gives_the_next(self):
         config = self.config()
@@ -766,6 +762,24 @@ class TestEvolve:
         monkeypatch.setattr(evolution, "step_generation", step)
         list(evolve(self.config()))
         assert handed == [True] * self.config().generations
+
+    @pytest.mark.parametrize("discriminating, calls", [(False, 0), (True, 3)])
+    def test_parsimony_runs_only_under_selection(
+        self, monkeypatch, discriminating, calls
+    ):
+        # the nondiscriminating baseline weighs every member alike, so it
+        # has no use for the penalised scores
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return original(*args)
+
+        original = evolution.parsimony_adjusted_fitness
+        monkeypatch.setattr(evolution, "parsimony_adjusted_fitness", counting)
+        config = self.config(discriminating=discriminating, generations=3)
+        list(evolve(config))
+        assert len(counted) == calls
 
     def test_generations_stream_one_step_at_a_time(self, monkeypatch):
         monkeypatch.setattr(evolution, "step_generation", _raise_on_step)

@@ -7,7 +7,7 @@ from collections import Counter
 from statistics import fmean
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -15,7 +15,6 @@ from conftest import make_alphabet, make_population
 from evotropy import (
     EvolutionConfig,
     Population,
-    UserRequest,
     crossover_pair,
     evolve,
     fitness,
@@ -188,9 +187,9 @@ class TestParsimonyMatchesScalarFormula:
 
 def pooled_fitness(individual, request, alphabet):
     """The pooled-attribute formula, scanning every pooled value per request value."""
-    pool = [value for symbol in individual for value in alphabet.agents[symbol]]
+    pool = [value for symbol in individual for value in alphabet[symbol]]
     total_gap = 0
-    for wanted in request.required:
+    for wanted in request:
         total_gap += min(abs(wanted - value) for value in pool)
     return 1.0 / (1.0 + total_gap)
 
@@ -204,7 +203,7 @@ def worlds(draw):
         st.lists(st.lists(values, min_size=1, max_size=4), min_size=2, max_size=8)
     )
     alphabet = make_alphabet(len(pools), [tuple(pool) for pool in pools])
-    request = UserRequest(tuple(draw(st.lists(values, min_size=1, max_size=8))))
+    request = tuple(draw(st.lists(values, min_size=1, max_size=8)))
     return alphabet, request
 
 
@@ -212,7 +211,7 @@ class TestFitnessMatchesPooledFormula:
     @given(worlds(), st.data())
     def test_equal_for_any_individual(self, world, data):
         alphabet, request = world
-        symbols = st.integers(min_value=0, max_value=alphabet.size - 1)
+        symbols = st.integers(min_value=0, max_value=len(alphabet) - 1)
         individual = tuple(data.draw(st.lists(symbols, min_size=1, max_size=10)))
         assert fitness(individual, request, alphabet) == pooled_fitness(
             individual, request, alphabet
@@ -225,7 +224,7 @@ class TestFitnessMatchesPooledFormula:
             request=request,
             alphabet=alphabet,
             rng_seed=seed,
-            population_floor=alphabet.size * 4,
+            population_floor=len(alphabet) * 4,
             generations=0,
         )
         [(state, stats)] = evolve(config)
@@ -249,7 +248,7 @@ class TestFitnessInvariants:
     )
     def test_positive_bounded_and_exact_iff_covered(self, wanted, pools, data):
         alphabet = make_alphabet(len(pools), [tuple(pool) for pool in pools])
-        request = UserRequest(tuple(wanted))
+        request = tuple(wanted)
         length = data.draw(st.integers(min_value=1, max_value=4))
         symbols = tuple(
             data.draw(st.integers(min_value=0, max_value=len(pools) - 1))
@@ -257,7 +256,7 @@ class TestFitnessInvariants:
         )
         score = fitness(symbols, request, alphabet)
         assert 0.0 < score <= 1.0
-        pooled = {value for symbol in symbols for value in alphabet.agents[symbol]}
+        pooled = {value for symbol in symbols for value in alphabet[symbol]}
         covered = all(value in pooled for value in wanted)
         assert (score == 1.0) == covered
 
@@ -282,7 +281,7 @@ def small_configs(draw):
     wanted = draw(st.lists(values, min_size=1, max_size=3))
     fraction = st.floats(min_value=0.0, max_value=1.0)
     return EvolutionConfig(
-        request=UserRequest(tuple(wanted)),
+        request=tuple(wanted),
         alphabet=make_alphabet(pool_size, pools),
         rng_seed=draw(seeds),
         crossover_fraction=draw(fraction),
@@ -321,7 +320,7 @@ class TestHelperInvariants:
         yielded = [state.population for state, _ in evolve(config)]
         for parents, stepped in zip(yielded, yielded[1:]):
             mean = fmean(map(len, parents.members))
-            scaled = math.ceil(config.alphabet.size * mean)
+            scaled = math.ceil(len(config.alphabet) * mean)
             assert len(stepped) == max(config.population_floor, scaled)
 
 
@@ -331,8 +330,8 @@ class TestLoopBuildsValidPopulations:
         # the loop builds its populations unchecked; the constructor must
         # accept each of them as it stands
         for state, _ in evolve(config):
-            assert state.population.alphabet_size == config.alphabet.size
-            Population(state.population.members, config.alphabet.size)
+            assert state.population.alphabet_size == len(config.alphabet)
+            Population(state.population.members, len(config.alphabet))
 
 
 class TestLoopMeasuresEveryGeneration:
@@ -344,3 +343,51 @@ class TestLoopMeasuresEveryGeneration:
             assert stats.calculable_length >= 1
             assert isinstance(stats.complexity, float)
             assert isinstance(stats.efficiency, float)
+
+
+@st.composite
+def oracle_configs(draw):
+    pool_size = draw(st.integers(min_value=2, max_value=8))
+    values = st.integers(min_value=0, max_value=9)
+    attributes = st.lists(values, min_size=1, max_size=3).map(tuple)
+    pools = draw(st.lists(attributes, min_size=pool_size, max_size=pool_size))
+    fraction = st.one_of(
+        st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0)
+    )
+    floor = st.one_of(
+        st.just(pool_size), st.integers(min_value=pool_size + 1, max_value=24)
+    )
+    return EvolutionConfig(
+        request=tuple(draw(st.lists(values, min_size=1, max_size=4))),
+        alphabet=pools,
+        rng_seed=draw(seeds),
+        crossover_fraction=draw(fraction),
+        mutation_fraction=draw(fraction),
+        parsimony_coefficient=draw(st.sampled_from((0.0, 0.1, 0.5, 2.0))),
+        population_floor=draw(floor),
+        generations=draw(st.integers(min_value=0, max_value=12)),
+        discriminating=draw(st.booleans()),
+    )
+
+
+MEASURE_FIELDS = ("complexity", "efficiency")
+
+
+class TestLoopMatchesNaiveOracle:
+    @settings(deadline=None)
+    @given(oracle_configs())
+    def test_whole_trajectories_agree(self, config):
+        # members, the RNG state and every stat but the measure's two
+        # floats agree exactly; those agree to 1e-12, as the measure does
+        # with the oracle's entropies
+        replayed = list(oracle.evolve_naive(config))
+        evolved = list(evolve(config))
+        assert len(evolved) == len(replayed) == config.generations + 1
+        for (state, stats), (members, rng_state, expected) in zip(evolved, replayed):
+            assert list(state.population.members) == members
+            assert state.rng_state == rng_state
+            for name, value in expected.items():
+                if name in MEASURE_FIELDS:
+                    assert getattr(stats, name) == pytest.approx(value, abs=1e-12)
+                else:
+                    assert getattr(stats, name) == value, name

@@ -204,15 +204,15 @@ class TestValidation:
 class TestGeneration:
     def test_alphabet_shape_and_ranges(self):
         alphabet = generate_alphabet(random.Random(0), 10, 3, 2, 5)
-        assert alphabet.size == 10
-        for attributes in alphabet.agents:
+        assert len(alphabet) == 10
+        for attributes in alphabet:
             assert len(attributes) == 3
             assert all(2 <= value <= 5 for value in attributes)
 
     def test_request_shape_and_range(self):
         request = generate_request(random.Random(0), 6, 1, 3)
-        assert len(request.required) == 6
-        assert all(1 <= value <= 3 for value in request.required)
+        assert len(request) == 6
+        assert all(1 <= value <= 3 for value in request)
 
     def test_generation_is_deterministic(self):
         first = generate_alphabet(random.Random(42), 5, 2, 0, 9)
@@ -221,7 +221,7 @@ class TestGeneration:
 
     def test_attribute_values_cover_the_range(self):
         alphabet = generate_alphabet(random.Random(1), 100, 2, 0, 4)
-        values = {v for agent in alphabet.agents for v in agent}
+        values = {v for agent in alphabet for v in agent}
         assert values == {0, 1, 2, 3, 4}
 
 
@@ -264,8 +264,8 @@ class TestBuildEvolutionConfig:
 
     def test_alphabet_size_matches_pool_size(self):
         config = build_evolution_config(RunConfig(rng_seed=5, pool_size=7))
-        assert config.alphabet.size == 7
-        assert len(config.request.required) == 4
+        assert len(config.alphabet) == 7
+        assert len(config.request) == 4
 
     # the settings of test_cli's numeric-limit cases, on seed 7 over 2 generations
     @pytest.mark.parametrize(

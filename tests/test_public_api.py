@@ -25,6 +25,7 @@ MODULES = (core, complexity, evolution, harness)
 REMOVED = (
     "Agent",
     "AgentSequence",
+    "Alphabet",
     "SiteDistribution",
     "SnapshotFile",
     "calculable_length",
@@ -37,6 +38,7 @@ REMOVED = (
     "sample_size",
     "site_distribution",
     "target_population_size",
+    "UserRequest",
     "validate_run_config",
 )
 
@@ -67,7 +69,6 @@ def test_removed_names_are_not_exported():
         assert name not in evotropy.__all__
         assert not hasattr(evotropy, name)
     assert not hasattr(evotropy.Population, "max_length")
-    assert not hasattr(evotropy.Alphabet, "__len__")
 
 
 def loads(tree, bound):
@@ -153,8 +154,6 @@ def seed_42_values():
     return {
         "RunConfig": run_config,
         "EvolutionConfig": config,
-        "Alphabet": config.alphabet,
-        "UserRequest": config.request,
         "Population": state.population,
         "EvolutionState": state,
         "GenerationStats": stats,
