@@ -156,8 +156,6 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
     Raises UnmeasurablePopulationError when no site clears the sampling
     threshold, attaching the first sites' sample sizes for diagnosis.
     """
-    if len(population) == 0:
-        raise ValueError("complexity of an empty population is undefined")
     alphabet_size = population.alphabet_size
     rows = sorted(population.members, key=len)
     sizes = list(_sample_sizes(rows, alphabet_size))

@@ -5,7 +5,7 @@ of agents, each agent the tuple of its attribute values and its id its
 position in the pool; an individual is a non-empty tuple of agent ids,
 nothing more, since the measures read a population as an ensemble of
 symbol strings.
-A Population is a multiset of those tuples together with the size of
+A Population is a non-empty multiset of those tuples and the size of
 the alphabet they are drawn from, the one thing the measures need of it.
 Everything here is an immutable value object so populations can be
 copied, hashed and compared structurally.
@@ -84,7 +84,7 @@ def _is_agent_id(symbol, size: int) -> bool:
 
 
 class Population(_Record):
-    """A multiset of agent sequences over an alphabet of alphabet_size agents.
+    """A non-empty multiset of agent sequences over alphabet_size agents.
 
     Each member is a non-empty tuple of agent ids; the constructor turns
     any rows of ints into such tuples.  The size bounds the symbols and is
@@ -103,6 +103,8 @@ class Population(_Record):
         size = self.alphabet_size
         if size < 2:
             raise ValueError(f"alphabet needs at least 2 agents, got {size}")
+        if not members:
+            raise ValueError("population needs at least one member")
         if not all(members):
             raise ValueError("agent sequence must be non-empty")
         # one C-speed pass collects the distinct symbols as integers (a set of
@@ -110,7 +112,7 @@ class Population(_Record):
         # failing members are walked, so the message names the first bad one
         try:
             distinct = set(map(index, chain.from_iterable(members)))
-            valid = not distinct or (min(distinct) >= 0 and max(distinct) < size)
+            valid = min(distinct) >= 0 and max(distinct) < size
         except TypeError:
             valid = False
         if not valid:
@@ -131,8 +133,9 @@ class Population(_Record):
         """Build without the checks, for members known to be valid.
 
         The generation loop draws every symbol below alphabet_size and
-        read_population_file checks each distinct symbol it read; the
-        constructor and from_rows, which take outside input, keep the checks.
+        read_population_file checks each distinct symbol it read, and
+        neither builds an empty population; the constructor and from_rows,
+        which take outside input, keep the checks.
         """
         population = object.__new__(cls)
         object.__setattr__(population, "members", members)

@@ -16,7 +16,7 @@ import sys
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
-from operator import truediv
+from operator import index, truediv
 
 from .complexity import physical_complexity_variable
 from .core import Population, _Record
@@ -82,8 +82,8 @@ class EvolutionConfig(_Record):
 
     `alphabet` is the agent pool, a tuple of agents, agent i the tuple of
     its attribute values at index i; `request` is the tuple of attribute
-    values asked for.  The constructor turns any rows of ints into those
-    tuples.
+    values asked for.  The constructor turns any rows of integers into
+    those tuples of ints, as operator.index takes them.
 
     `discriminating` switches between fitness-proportional survival and
     an equal-probability baseline; nothing else in the pipeline changes,
@@ -104,17 +104,24 @@ class EvolutionConfig(_Record):
     discriminating: bool = True
 
     def _post_init(self) -> None:
-        alphabet = tuple(map(tuple, self.alphabet))
+        try:
+            alphabet = tuple(tuple(map(index, agent)) for agent in self.alphabet)
+        except TypeError:
+            raise ValueError("alphabet attribute values must be integers") from None
+        try:
+            request = tuple(map(index, self.request))
+        except TypeError:
+            raise ValueError("request values must be integers") from None
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "request", tuple(self.request))
+        object.__setattr__(self, "request", request)
         if len(alphabet) < 2:
             raise ValueError(f"alphabet needs at least 2 agents, got {len(alphabet)}")
         if not all(alphabet):
             raise ValueError("agent must carry at least one attribute value")
-        if not self.request:
+        if not request:
             raise ValueError("request must name at least one attribute value")
         check_settings(self, len(alphabet))
-        object.__setattr__(self, "gaps", _gap_table(self.request, self.alphabet))
+        object.__setattr__(self, "gaps", _gap_table(request, alphabet))
         _check_smallest_weight(self)
 
 
@@ -197,8 +204,6 @@ class EvolutionState(_Record):
     def _post_init(self) -> None:
         if self.generation < 0:
             raise ValueError(f"generation must be >= 0, got {self.generation}")
-        if len(self.population) == 0:
-            raise ValueError("evolution state requires a non-empty population")
 
 
 class GenerationStats(_Record):
@@ -315,16 +320,14 @@ def select(
     adjusted_fitness: Sequence[float],
     target_size: int,
     rng: random.Random,
-) -> Population:
+) -> list[tuple[int, ...]]:
     """Roulette-wheel sampling with replacement down (or up) to target_size.
 
     Each draw lands on a member with probability proportional to its
     adjusted fitness.  Non-elitist: nothing is guaranteed survival, and
-    one member may be picked many times.
+    one member may be picked many times.  Returns the draws in order.
     """
     members = population.members
-    if len(members) == 0:
-        raise ValueError("cannot select from an empty population")
     if len(adjusted_fitness) != len(members):
         raise ValueError(
             f"{len(adjusted_fitness)} fitness values for {len(members)} members"
@@ -336,22 +339,20 @@ def select(
         raise ValueError("adjusted fitness values must all be positive")
     cumulative = list(accumulate(adjusted_fitness))
     total = cumulative[-1]
-    if not math.isfinite(total):
+    # below the smallest normal float, r * total rounds up to total for
+    # many r < 1, so draws pile up past the wheel onto the last member
+    if not sys.float_info.min <= total < math.inf:
         raise ValueError(
-            f"adjusted fitness values must have a finite sum, got {total}"
+            f"adjusted fitness values must have a finite normal sum, got {total}"
         )
 
-    # hi=last clamps a draw past the final boundary onto the last member
+    # hi=last puts a draw that rounds up to the total on the last member
     last = len(members) - 1
     draw = rng.random
-    chosen = tuple(
-        [
-            members[bisect_right(cumulative, draw() * total, 0, last)]
-            for _ in range(target_size)
-        ]
-    )
-    # every member comes from a checked population over the same alphabet
-    return Population._trusted(chosen, population.alphabet_size)
+    return [
+        members[bisect_right(cumulative, draw() * total, 0, last)]
+        for _ in range(target_size)
+    ]
 
 
 def crossover_pair(
@@ -464,9 +465,9 @@ def step_generation(
     """
     alphabet = config.alphabet
     size = len(alphabet)
-    # the populations built below skip the symbol check: they hold only
-    # members of this one, whose symbols lie below its alphabet_size, and
-    # symbols drawn below the alphabet's size
+    # the population built below skips the checks: it holds at least
+    # `target` members, each drawn from this one, whose symbols lie below
+    # its alphabet_size, or varied with symbols drawn below the same size
     if state.population.alphabet_size != size:
         raise ValueError("the state's population is not over the config's alphabet")
     members = state.population.members
@@ -489,7 +490,7 @@ def step_generation(
     # the population grows with the mean length, so site statistics keep
     # pace with the sequences
     target = max(config.population_floor, math.ceil(size * mean_length))
-    survivors = list(select(state.population, weights, target, rng).members)
+    survivors = select(state.population, weights, target, rng)
 
     paired = int(config.crossover_fraction * len(survivors))
     paired -= paired % 2

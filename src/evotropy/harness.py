@@ -14,8 +14,7 @@ import colorsys
 import os
 import random
 import re
-from collections.abc import Sequence
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 from .core import Population, _Record
@@ -259,11 +258,9 @@ def write_stats_csv(stats: list[GenerationStats], path) -> None:
     _write_atomic(Path(path), format_stats_csv(stats))
 
 
-def format_snapshot(rows: Sequence[Sequence[int]]) -> str:
+def format_snapshot(population: Population) -> str:
     """Plain-text snapshot: one member per line, space-separated agent ids."""
-    if not rows:
-        raise ValueError("snapshot has no rows")
-    return "\n".join(" ".join(map(str, row)) for row in rows) + "\n"
+    return "\n".join(" ".join(map(str, row)) for row in population.members) + "\n"
 
 
 def palette_color(symbol: int, alphabet_size: int) -> tuple[int, int, int]:
@@ -279,19 +276,14 @@ def palette_color(symbol: int, alphabet_size: int) -> tuple[int, int, int]:
     return round(red * 255), round(green * 255), round(blue * 255)
 
 
-def render_snapshot(rows: Sequence[Sequence[int]], alphabet_size: int) -> str:
+def render_snapshot(population: Population) -> str:
     """Render one snapshot as a plain-text (P3) portable pixmap.
 
     One pixel row per member, one pixel per site, left aligned; rows
     shorter than the longest member are padded with white pixels.
     """
-    if not rows:
-        raise ValueError("snapshot has no rows")
-    # a list index would wrap -1 silently, so check the symbol range first
-    used = set(chain.from_iterable(rows))
-    if used:
-        palette_color(min(used), alphabet_size)
-        palette_color(max(used), alphabet_size)
+    rows = population.members
+    alphabet_size = population.alphabet_size
     colors = [
         " ".join(map(str, palette_color(symbol, alphabet_size)))
         for symbol in range(alphabet_size)
@@ -432,12 +424,12 @@ def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
         stats.append(row)
         generation = state.generation
         if snapshot_due(generation, config.snapshot_every, config.generations):
-            rows = state.population.members
-            _write_atomic(directory / f"snap_{generation}.txt", format_snapshot(rows))
+            _write_atomic(
+                directory / f"snap_{generation}.txt", format_snapshot(state.population)
+            )
             _drop_stale(stale, f"snap_{generation}.txt")
             _write_atomic(
-                directory / f"snap_{generation}.ppm",
-                render_snapshot(rows, len(evolution_config.alphabet)),
+                directory / f"snap_{generation}.ppm", render_snapshot(state.population)
             )
     write_stats_csv(stats, directory / "stats.csv")
     _drop_stale(stale, "stats.csv")

@@ -85,7 +85,9 @@ def _distinct_indices(rng, n, k):
     return indices[:k]
 
 
-def _pooled_fitness(member, request, alphabet):
+def pooled_fitness(member, request, alphabet):
+    """1 / (1 + the summed gaps from each request value to the closest
+    attribute value pooled from every agent of `member`)."""
     pool = []
     for agent in member:
         for value in alphabet[agent]:
@@ -106,7 +108,17 @@ def _mean(values):
     return math.fsum(values) / len(values)
 
 
-def _roulette(rng, members, weights, count):
+def parsimony(score, length, mean_length, coefficient):
+    """One member's score, divided by 1 + coefficient * excess when it is
+    longer than the mean length."""
+    if length > mean_length:
+        return score / (1.0 + coefficient * (length - mean_length))
+    return score
+
+
+def roulette(rng, members, weights, count):
+    """`count` draws from `members`, each the first member whose running
+    weight sum exceeds random() times the total, or the last member."""
     boundaries = []
     running = 0.0
     for weight in weights:
@@ -172,22 +184,20 @@ def evolve_naive(config):
     for _ in range(config.population_floor):
         length = 1 + _rand_below(rng, 5)
         members.append(tuple(_rand_below(rng, size) for _ in range(length)))
-    raw = [_pooled_fitness(member, request, alphabet) for member in members]
+    raw = [pooled_fitness(member, request, alphabet) for member in members]
     yield members, rng.getstate(), _stats(0, raw, members, size)
     for generation in range(1, config.generations + 1):
         lengths = [len(member) for member in members]
         mean_length = _mean(lengths)
         weights = []
         for score, length in zip(raw, lengths):
-            if not config.discriminating:
-                weights.append(1.0)
-            elif length > mean_length:
-                excess = length - mean_length
-                weights.append(score / (1.0 + config.parsimony_coefficient * excess))
+            if config.discriminating:
+                coefficient = config.parsimony_coefficient
+                weights.append(parsimony(score, length, mean_length, coefficient))
             else:
-                weights.append(score)
+                weights.append(1.0)
         target = max(config.population_floor, math.ceil(size * mean_length))
-        survivors = _roulette(rng, members, weights, target)
+        survivors = roulette(rng, members, weights, target)
 
         paired = int(config.crossover_fraction * len(survivors))
         if paired % 2 == 1:
@@ -208,4 +218,4 @@ def evolve_naive(config):
 
         yield survivors, rng.getstate(), _stats(generation, raw, survivors, size)
         members = survivors
-        raw = [_pooled_fitness(member, request, alphabet) for member in members]
+        raw = [pooled_fitness(member, request, alphabet) for member in members]

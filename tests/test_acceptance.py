@@ -277,7 +277,7 @@ def test_criterion_7_operator_invariants(announce):
             weights = [rng.uniform(0.01, 1.0) for _ in rows]
             chosen = select(population, weights, 20, rng)
             allowed = {tuple(row) for row in rows}
-            if any(member not in allowed for member in chosen.members):
+            if any(member not in allowed for member in chosen):
                 ok, detail = False, f"selection case {case}: member from nowhere"
                 break
             if len(chosen) != 20:
@@ -328,7 +328,7 @@ def test_criterion_8_randomness_calibration(announce):
     population = make_population(make_alphabet(8), [[s] for s in range(8)])
     chosen = select(population, [1.0] * 8, 10_000, random.Random(5150))
     counts = [0] * 8
-    for member in chosen.members:
+    for member in chosen:
         counts[member[0]] += 1
     p_value = chisquare(counts).pvalue
     roulette_ok = p_value > 0.01

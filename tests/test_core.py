@@ -115,8 +115,12 @@ class TestPopulation:
         with pytest.raises(ValueError, match=r"^symbol 5 is not a valid agent id"):
             make_population(alphabet2, [[0, 1], [1, 5, -1], [-3]])
 
-    def test_empty_population_is_allowed(self, alphabet2):
-        assert len(Population((), len(alphabet2))) == 0
+    def test_rejects_an_empty_population(self, alphabet2):
+        message = "^population needs at least one member$"
+        with pytest.raises(ValueError, match=message):
+            Population((), len(alphabet2))
+        with pytest.raises(ValueError, match=message):
+            Population.from_rows(len(alphabet2), [])
 
     def test_records_the_alphabet_size_and_no_agents(self):
         population = Population.from_rows(3, [[0, 2]])
@@ -143,3 +147,24 @@ class TestUserRequest:
 
     def test_holds_values(self):
         assert world(request=[4, 4, 2]).request == (4, 4, 2)
+
+
+class TestWorldValuesAreIntegers:
+    @pytest.mark.parametrize(
+        "alphabet, wanted, field",
+        [
+            (((3,), (5,)), "35", "request"),
+            (((3,), (5,)), (3.5,), "request"),
+            (((3.0,), (5,)), (3,), "alphabet"),
+        ],
+        ids=["string-request", "float-request", "float-attribute"],
+    )
+    def test_rejects_a_non_integer_value(self, alphabet, wanted, field):
+        with pytest.raises(ValueError, match=f"^{field} .*must be integers$"):
+            world(alphabet, wanted)
+
+    def test_turns_integer_like_values_into_ints(self):
+        config = world(((True,), (5,)), (False,))
+        assert config.alphabet == ((1,), (5,))
+        assert type(config.alphabet[0][0]) is int
+        assert type(config.request[0]) is int

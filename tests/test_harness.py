@@ -353,11 +353,12 @@ class TestStatsCsv:
 
 class TestSnapshotText:
     def test_one_member_per_line(self):
-        assert format_snapshot(((0, 1, 2), (2,))) == "0 1 2\n2\n"
+        assert format_snapshot(Population(((0, 1, 2), (2,)), 3)) == "0 1 2\n2\n"
 
     def test_empty_snapshot_is_rejected(self):
-        with pytest.raises(ValueError):
-            format_snapshot(())
+        # a snapshot takes a population, and a population is never empty
+        with pytest.raises(ValueError, match="at least one member"):
+            format_snapshot(Population((), 2))
 
 
 class TestPalette:
@@ -390,7 +391,7 @@ class TestPalette:
 
 class TestRenderSnapshot:
     def test_ragged_rows_are_padded_with_white(self):
-        lines = render_snapshot(((0,), (0, 1)), 2).splitlines()
+        lines = render_snapshot(Population(((0,), (0, 1)), 2)).splitlines()
         assert lines[0] == "P3"
         assert lines[1] == "2 2"
         assert lines[2] == "255"
@@ -400,19 +401,22 @@ class TestRenderSnapshot:
         assert lines[4] == f"{color0} {color1}"
 
     def test_dimensions_match_the_widest_member(self):
-        lines = render_snapshot(((0, 1, 0, 1, 1), (1,), (0, 0)), 2).splitlines()
+        population = Population(((0, 1, 0, 1, 1), (1,), (0, 0)), 2)
+        lines = render_snapshot(population).splitlines()
         assert lines[1] == "5 3"
         for line in lines[3:]:
             assert len(line.split()) == 15  # 5 pixels * 3 channels
 
     def test_empty_snapshot_is_rejected(self):
-        with pytest.raises(ValueError):
-            render_snapshot((), 2)
+        # a snapshot takes a population, and a population is never empty
+        with pytest.raises(ValueError, match="at least one member"):
+            render_snapshot(Population((), 2))
 
     @pytest.mark.parametrize("symbol", [-1, 3])
     def test_symbol_outside_the_alphabet_is_rejected(self, symbol):
-        with pytest.raises(ValueError, match=f"symbol {symbol} outside"):
-            render_snapshot(((0, 1), (2, symbol, 0)), 3)
+        # the population checks every symbol, so no color lookup wraps -1
+        with pytest.raises(ValueError, match=f"symbol {symbol} is not a valid"):
+            render_snapshot(Population(((0, 1), (2, symbol, 0)), 3))
 
 
 def pixel_loop_render(rows, alphabet_size):
@@ -430,7 +434,9 @@ def pixel_loop_render(rows, alphabet_size):
 def snapshots(draw):
     alphabet_size = draw(st.integers(min_value=2, max_value=300))
     symbols = st.integers(min_value=0, max_value=alphabet_size - 1)
-    rows = draw(st.lists(st.lists(symbols, max_size=12), min_size=1, max_size=12))
+    rows = draw(
+        st.lists(st.lists(symbols, min_size=1, max_size=12), min_size=1, max_size=12)
+    )
     return rows, alphabet_size
 
 
@@ -438,7 +444,8 @@ class TestRenderMatchesPixelLoop:
     @given(snapshots())
     def test_equal_bytes_for_ragged_rows(self, snapshot):
         rows, alphabet_size = snapshot
-        assert render_snapshot(rows, alphabet_size).encode("ascii") == (
+        population = Population(rows, alphabet_size)
+        assert render_snapshot(population).encode("ascii") == (
             pixel_loop_render(rows, alphabet_size).encode("ascii")
         )
 
