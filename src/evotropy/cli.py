@@ -99,14 +99,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except UnmeasurablePopulationError as error:
         print(f"unmeasurable population: {error}", file=sys.stderr)
-        for site, size in error.sample_sizes.items():
-            print(f"  site {site}: sample size {size}", file=sys.stderr)
-        hidden = error.sites - len(error.sample_sizes)
-        if hidden > 0:
-            print(
-                f"  ... and {hidden} more site{'s' if hidden > 1 else ''}",
-                file=sys.stderr,
-            )
         return EXIT_RUNTIME
     except Exception as error:
         # a defect, not bad input: one line instead of a traceback

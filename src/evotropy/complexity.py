@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .core import Population, _Record
@@ -41,11 +41,6 @@ class ComplexityReport(_Record):
     max_length: int
 
 
-# an unmeasurable population's error carries the sample sizes of this many
-# sites at most: site 1 already fails, and every later site has fewer still
-_SHOWN_SITES = 10
-
-
 # counting from byte columns scans each site once per symbol, after one
 # conversion of every member: it beats counting member by member only
 # for alphabets of at most this many symbols, over at least this many
@@ -54,22 +49,8 @@ _BYTE_COLUMNS_UP_TO = 32
 
 
 class UnmeasurablePopulationError(ValueError):
-    """No site has enough samples for a trustworthy entropy estimate.
-
-    `sample_sizes` maps the first sites (_SHOWN_SITES at most) to their
-    sample sizes, and `sites` is the longest member's length, so callers
-    can see how far short the population falls of the alphabet_size *
-    site threshold.
-    """
-
-    def __init__(self, message: str, sample_sizes: dict[int, int], sites: int):
-        super().__init__(message)
-        self.sample_sizes = dict(sample_sizes)
-        self.sites = sites
-
-    def __reduce__(self):
-        # the default rebuilds from self.args, the message alone
-        return type(self), (self.args[0], self.sample_sizes, self.sites)
+    """No site has enough samples for a trustworthy entropy estimate:
+    the population has fewer members than its alphabet has agents."""
 
 
 def _entropy(counts: list[int], size: int, alphabet_size: int) -> float:
@@ -95,14 +76,14 @@ def _entropy(counts: list[int], size: int, alphabet_size: int) -> float:
     return min(1.0, max(0.0, entropy))
 
 
-def _sample_sizes(rows: list, alphabet_size: int = 0) -> Iterator[int]:
+def _sample_sizes(rows: list, alphabet_size: int) -> Iterator[int]:
     """Sample sizes of sites 1, 2, ... of `rows`, sorted shortest first.
 
     The rows reaching a site are a suffix of the sorted rows, found by
-    bisection, so a size is counted only when it is asked for.  Given an
-    alphabet_size, the sizes stop before the first site with fewer than
-    alphabet_size * site samples: sizes only shrink as that threshold
-    grows, so they cover the calculable prefix.
+    bisection, so a size is counted only when it is asked for.  The sizes
+    stop before the first site with fewer than alphabet_size * site
+    samples: sizes only shrink as that threshold grows, so they cover the
+    calculable prefix.
     """
     for site in range(1, len(rows[-1]) + 1):
         size = len(rows) - bisect_left(rows, site, key=len)
@@ -154,18 +135,19 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
     """Measure a variable-length population over its calculable prefix.
 
     Raises UnmeasurablePopulationError when no site clears the sampling
-    threshold, attaching the first sites' sample sizes for diagnosis.
+    threshold.  Every member reaches site 1, so its sample size is the
+    member count, and every later site has no more samples against a
+    higher threshold: the population is measurable exactly when it has
+    at least alphabet_size members.
     """
     alphabet_size = population.alphabet_size
+    if len(population) < alphabet_size:
+        raise UnmeasurablePopulationError(
+            f"member count {len(population)} is below alphabet_size "
+            f"{alphabet_size}; population is too small to measure"
+        )
     rows = sorted(population.members, key=len)
     sizes = list(_sample_sizes(rows, alphabet_size))
-    if not sizes:
-        raise UnmeasurablePopulationError(
-            f"no site has sample size >= {alphabet_size} * site; "
-            "population is too small to measure",
-            dict(enumerate(islice(_sample_sizes(rows), _SHOWN_SITES), start=1)),
-            len(rows[-1]),
-        )
     few_symbols = alphabet_size <= _BYTE_COLUMNS_UP_TO
     if few_symbols and len(rows) >= _BYTE_COLUMNS_UP_TO * alphabet_size:
         counts = _byte_column_counts(rows, len(sizes), alphabet_size)

@@ -427,9 +427,7 @@ class _RunState:
 def _stats_for(
     generation: int, raw: Sequence[float], population: Population, lengths: list[int]
 ) -> GenerationStats:
-    # never unmeasurable: check_settings keeps population_floor >= the pool
-    # size, no population the loop measures is smaller than the floor, and
-    # every member reaches site 1, so site 1 has alphabet_size samples or more
+    # never unmeasurable: check_settings keeps population_floor >= the pool size
     report = physical_complexity_variable(population)
     return GenerationStats(
         generation=generation,

@@ -1,11 +1,6 @@
 import pytest
 
-from evotropy import (
-    Population,
-    UnmeasurablePopulationError,
-    complexity,
-    physical_complexity_variable,
-)
+from evotropy import Population, complexity
 
 
 def make_alphabet(size, attributes=None):
@@ -21,18 +16,11 @@ def make_population(alphabet, rows):
     return Population.from_rows(len(alphabet), rows)
 
 
-def sample_sizes(rows, alphabet_size=2):
-    """Per-site sample sizes of the first 10 sites, as the measure counts them.
-
-    Sample sizes do not depend on the alphabet, so the rows are measured
-    over one with more agents than there are members: no site clears
-    the threshold, and the error carries the sizes of the first
-    min(10, longest row) sites, every site for rows up to 10 long.
-    """
-    population = Population.from_rows(max(alphabet_size, len(rows) + 1), rows)
-    with pytest.raises(UnmeasurablePopulationError) as excinfo:
-        physical_complexity_variable(population)
-    return excinfo.value.sample_sizes
+def sample_sizes(rows):
+    """{site: sample size} of every site of `rows`, as the measure counts
+    them: a threshold of 0 lets every site through."""
+    ordered = sorted(map(tuple, rows), key=len)
+    return dict(enumerate(complexity._sample_sizes(ordered, 0), start=1))
 
 
 def site_entropy(counts, alphabet_size):

@@ -175,15 +175,17 @@ class TestPhysicalComplexityVariable:
         assert report.complexity == pytest.approx(complexity, abs=1e-12)
         assert report.efficiency == pytest.approx(eff, abs=1e-12)
 
-    def test_unmeasurable_population_raises_with_sample_sizes(self, alphabet3):
+    def test_unmeasurable_population_raises_naming_both_counts(self, alphabet3):
         population = make_population(alphabet3, [[0, 1], [1]])
         with pytest.raises(UnmeasurablePopulationError) as excinfo:
             physical_complexity_variable(population)
-        assert excinfo.value.sample_sizes == {1: 2, 2: 1}
-        assert excinfo.value.sites == 2
+        assert str(excinfo.value) == (
+            "member count 2 is below alphabet_size 3; "
+            "population is too small to measure"
+        )
 
     def test_unmeasurable_footprint_does_not_grow_with_member_length(self):
-        # one member reaches every site with one sample, below 2 * site
+        # one member, fewer than the 2 agents, however long it is
         peaks, errors = {}, {}
         for length in (50, 50_000):
             population = Population.from_rows(2, [[0] * length])
@@ -196,16 +198,14 @@ class TestPhysicalComplexityVariable:
                 peaks[length] = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
         assert peaks[50_000] <= 1.5 * peaks[50]
-        assert len(errors[50_000].sample_sizes) == 10
-        assert errors[50_000].sites == 50_000
+        assert str(errors[50_000]) == str(errors[50])
 
     def test_unmeasurable_error_survives_pickle_and_copy(self):
-        error = UnmeasurablePopulationError("too small", {1: 3, 2: 1}, 5)
+        error = UnmeasurablePopulationError("too small")
         for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
             assert type(clone) is UnmeasurablePopulationError
             assert str(clone) == str(error) == "too small"
-            assert clone.sample_sizes == {1: 3, 2: 1}
-            assert clone.sites == 5
+            assert clone.args == ("too small",)
 
     def test_agrees_with_fixed_formula_when_lengths_equal(self, alphabet2):
         rows = [[0, 0], [0, 1], [1, 1], [0, 0], [1, 0], [0, 0]]

@@ -45,20 +45,20 @@ class TestSampleSize:
     @given(populations())
     def test_never_increases_with_site(self, pop):
         alphabet_size, rows = pop
-        sizes = sample_sizes(rows, alphabet_size)
+        sizes = sample_sizes(rows)
         ordered = [sizes[site] for site in sorted(sizes)]
         assert all(a >= b for a, b in zip(ordered, ordered[1:]))
 
     @given(populations())
     def test_site_one_counts_everyone(self, pop):
         alphabet_size, rows = pop
-        assert sample_sizes(rows, alphabet_size)[1] == len(rows)
+        assert sample_sizes(rows)[1] == len(rows)
 
     @given(populations())
     def test_matches_oracle(self, pop):
         alphabet_size, rows = pop
         longest = max(map(len, rows))
-        assert sample_sizes(rows, alphabet_size) == {
+        assert sample_sizes(rows) == {
             site: oracle.sample_size(rows, site) for site in range(1, longest + 1)
         }
 
@@ -191,6 +191,29 @@ class TestComplexityReport:
             assert ours == pytest.approx(theirs, abs=1e-12)
         assert report.complexity == pytest.approx(complexity, abs=1e-12)
         assert report.efficiency == pytest.approx(eff, abs=1e-12)
+
+    @given(
+        st.integers(min_value=2, max_value=12).flatmap(
+            lambda size: st.tuples(
+                st.just(size),
+                st.lists(
+                    st.lists(st.integers(0, size - 1), min_size=1, max_size=8),
+                    min_size=1,
+                    max_size=30,
+                ),
+            )
+        )
+    )
+    def test_raises_exactly_when_members_are_fewer_than_agents(self, pop):
+        alphabet_size, rows = pop
+        try:
+            physical_complexity_variable(build(alphabet_size, rows))
+        except UnmeasurablePopulationError:
+            raised = True
+        else:
+            raised = False
+        assert raised == (len(rows) < alphabet_size)
+        assert raised == (oracle.calculable_length(rows, alphabet_size) == 0)
 
     @given(populations())
     def test_complexity_bounded_by_potential(self, pop):

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 import oracle
 from conftest import make_alphabet, make_population
 from evotropy import (
+    MODES,
     EvolutionConfig,
     Population,
+    RunConfig,
+    build_evolution_config,
     crossover_pair,
     evolve,
     fitness,
@@ -345,21 +348,31 @@ def oracle_configs(draw):
 MEASURE_FIELDS = ("complexity", "efficiency")
 
 
+def assert_same_trajectory(config):
+    # members, the RNG state and every stat but the measure's two floats
+    # agree exactly; those agree to 1e-12, as the measure does with the
+    # oracle's entropies
+    replayed = list(oracle.evolve_naive(config))
+    evolved = list(evolve(config))
+    assert len(evolved) == len(replayed) == config.generations + 1
+    for (state, stats), (members, rng_state, expected) in zip(evolved, replayed):
+        assert list(state.population.members) == members
+        assert state.rng_state == rng_state
+        for name, value in expected.items():
+            if name in MEASURE_FIELDS:
+                assert getattr(stats, name) == pytest.approx(value, abs=1e-12)
+            else:
+                assert getattr(stats, name) == value, name
+
+
 class TestLoopMatchesNaiveOracle:
     @settings(deadline=None)
     @given(oracle_configs())
     def test_whole_trajectories_agree(self, config):
-        # members, the RNG state and every stat but the measure's two
-        # floats agree exactly; those agree to 1e-12, as the measure does
-        # with the oracle's entropies
-        replayed = list(oracle.evolve_naive(config))
-        evolved = list(evolve(config))
-        assert len(evolved) == len(replayed) == config.generations + 1
-        for (state, stats), (members, rng_state, expected) in zip(evolved, replayed):
-            assert list(state.population.members) == members
-            assert state.rng_state == rng_state
-            for name, value in expected.items():
-                if name in MEASURE_FIELDS:
-                    assert getattr(stats, name) == pytest.approx(value, abs=1e-12)
-                else:
-                    assert getattr(stats, name) == value, name
+        assert_same_trajectory(config)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_full_length_seed_42_run_agrees(self, mode):
+        assert_same_trajectory(
+            build_evolution_config(RunConfig(rng_seed=42, mode=mode))
+        )
