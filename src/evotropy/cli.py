@@ -13,7 +13,8 @@ import sys
 
 from . import __version__
 from .complexity import UnmeasurablePopulationError, physical_complexity_variable
-from .harness import ConfigError, parse_config, read_population_file, run_experiment
+from .harness import ConfigError, RunConfig, _real, parse_config
+from .harness import read_population_file, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,7 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     with open(args.config, encoding="utf-8-sig") as handle:
         config = parse_config(handle.read())
-    run_experiment(config, out_dir=args.output_dir)
+    if args.output_dir is not None:
+        # built anew, so the flag passes the checks the config key does
+        config = RunConfig(**{**vars(config), "output_dir": args.output_dir})
+    final = run_experiment(config)[-1]
+    print(f"final_max_fitness: {_real(final.max_fitness)}")
+    print(f"final_efficiency: {_real(final.efficiency)}")
     return EXIT_OK
 
 
@@ -79,9 +85,9 @@ def _cmd_analyze(args) -> int:
     print(f"alphabet_size: {population.alphabet_size}")
     print(f"max_length: {report.max_length}")
     print(f"calculable_length: {report.calculable_length}")
-    print(f"complexity: {report.complexity:.9f}")
-    print(f"complexity_potential: {report.complexity_potential:.9f}")
-    print(f"efficiency: {report.efficiency:.9f}")
+    print(f"complexity: {_real(report.complexity)}")
+    print(f"complexity_potential: {_real(report.calculable_length)}")
+    print(f"efficiency: {_real(report.efficiency)}")
     return EXIT_OK
 
 

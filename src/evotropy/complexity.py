@@ -36,7 +36,6 @@ class ComplexityReport(_Record):
     calculable_length: int
     per_site_entropy: tuple[float, ...]
     complexity: float
-    complexity_potential: float
     efficiency: float
     max_length: int
 
@@ -154,13 +153,12 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
     else:
         counts = _member_counts(rows, sizes)
     entropies = tuple(map(_entropy, counts, sizes, repeat(alphabet_size)))
-    potential = float(len(sizes))
-    complexity = max(0.0, potential - sum(entropies))
+    calculable = len(sizes)
+    complexity = max(0.0, calculable - sum(entropies))
     return ComplexityReport(
-        calculable_length=len(sizes),
+        calculable_length=calculable,
         per_site_entropy=entropies,
         complexity=complexity,
-        complexity_potential=potential,
-        efficiency=complexity / potential,
+        efficiency=complexity / calculable,
         max_length=len(rows[-1]),
     )

@@ -21,6 +21,18 @@ __all__ = [
     "Population",
 ]
 
+# characters of an input that an error message shows at most
+_SHOWN = 40
+
+
+def _shown(value, form=repr) -> str:
+    """form(str(value)) for an error message, or, when that text is longer
+    than _SHOWN characters, form of its first _SHOWN and its length."""
+    text = str(value)
+    if len(text) <= _SHOWN:
+        return form(text)
+    return f"{form(text[:_SHOWN])}... ({len(text)} characters)"
+
 
 class _Record:
     """An immutable value whose fields are its class annotations, in order.
@@ -123,7 +135,8 @@ class Population(_Record):
                 if not _is_agent_id(symbol, size)
             )
             raise ValueError(
-                f"symbol {bad} is not a valid agent id for an alphabet of size {size}"
+                f"symbol {_shown(bad, str)} is not a valid agent id for an "
+                f"alphabet of size {size}"
             )
 
     @classmethod

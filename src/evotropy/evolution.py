@@ -19,7 +19,7 @@ from itertools import accumulate
 from operator import index, truediv
 
 from .complexity import physical_complexity_variable
-from .core import Population, _Record
+from .core import Population, _Record, _shown
 
 __all__ = [
     "INITIAL_LENGTH_RANGE",
@@ -90,7 +90,8 @@ class EvolutionConfig(_Record):
     so the two modes isolate exactly the effect of selection pressure.
     `gaps`, the fitness gap table of the run, is built with the config;
     derived from the fields, it is not one of them, so it stays out of
-    equality, hashing, repr and pickles.
+    equality, hashing and repr, while pickling and copying carry it over
+    as stored.
     """
 
     request: tuple[int, ...]
@@ -104,6 +105,7 @@ class EvolutionConfig(_Record):
     discriminating: bool = True
 
     def _post_init(self) -> None:
+        normalise_fields(self)
         try:
             alphabet = tuple(tuple(map(index, agent)) for agent in self.alphabet)
         except TypeError:
@@ -161,6 +163,46 @@ def _check_smallest_weight(config: EvolutionConfig) -> None:
         )
 
 
+def _real_number(value) -> float:
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError  # float() would parse text too
+    return float(value)
+
+
+def _truth_value(value) -> bool:
+    if value is True or value is False:
+        return value
+    raise TypeError
+
+
+# each settings field kind's one form, and what an error message expects
+_KINDS = {
+    "int": (index, "an integer"),
+    "float": (_real_number, "a real number within float range"),
+    "bool": (_truth_value, "True or False"),
+}
+
+
+def normalise_fields(settings) -> None:
+    """Store each int, float and bool field of a settings record in its one
+    form, so that equal settings run alike: an int as operator.index gives
+    it (True as 1), a real number as a float, a bool only as True or False.
+
+    The one rule for EvolutionConfig and harness.RunConfig, applied before
+    their other checks; a ConfigError names the first field it rejects.
+    """
+    for name, kind in type(settings).__annotations__.items():
+        if kind in _KINDS:
+            form, expected = _KINDS[kind]
+            value = getattr(settings, name)
+            try:
+                object.__setattr__(settings, name, form(value))
+            except (TypeError, OverflowError):
+                raise ConfigError(
+                    f"{name} expects {expected}, got {_shown(repr(value), str)}"
+                ) from None
+
+
 def check_settings(settings, pool_size: int) -> None:
     """Reject run settings that break an invariant; messages name the key.
 
@@ -170,7 +212,9 @@ def check_settings(settings, pool_size: int) -> None:
     if not 0 <= settings.rng_seed < 2**64:
         raise ConfigError("rng_seed must be a 64-bit unsigned integer")
     if settings.generations < 0:
-        raise ConfigError(f"generations must be >= 0, got {settings.generations}")
+        raise ConfigError(
+            f"generations must be >= 0, got {_shown(settings.generations, str)}"
+        )
     for name in ("crossover_fraction", "mutation_fraction"):
         value = getattr(settings, name)
         if not 0.0 <= value <= 1.0:
@@ -189,8 +233,9 @@ def check_settings(settings, pool_size: int) -> None:
         )
     if settings.population_floor < pool_size:
         raise ConfigError(
-            f"population_floor {settings.population_floor} is below the pool size "
-            f"{pool_size}; length-1 sites would be unmeasurable"
+            f"population_floor {_shown(settings.population_floor, str)} is "
+            f"below the pool size {_shown(pool_size, str)}; length-1 sites "
+            "would be unmeasurable"
         )
 
 

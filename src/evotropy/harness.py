@@ -14,16 +14,18 @@ import colorsys
 import os
 import random
 import re
+import sys
 from itertools import islice, repeat
 from pathlib import Path
 
-from .core import Population, _Record
+from .core import Population, _Record, _shown
 from .evolution import (
     ConfigError,
     EvolutionConfig,
     GenerationStats,
     check_settings,
     evolve,
+    normalise_fields,
     rand_int,
 )
 
@@ -83,9 +85,10 @@ class RunConfig(_Record):
     output_dir: str = "out"
 
     def _post_init(self) -> None:
+        normalise_fields(self)
         if self.mode not in MODES:
             raise ConfigError(
-                f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"
+                f"mode must be one of {', '.join(MODES)}; got {_shown(self.mode)}"
             )
         if self.pool_size < 2:
             raise ConfigError(
@@ -98,7 +101,8 @@ class RunConfig(_Record):
         if self.attribute_min > self.attribute_max:
             raise ConfigError(
                 "attribute_min must not exceed attribute_max "
-                f"({self.attribute_min} > {self.attribute_max})"
+                f"({_shown(self.attribute_min, str)} > "
+                f"{_shown(self.attribute_max, str)})"
             )
         try:
             # the integer draws scale a float by the range
@@ -127,13 +131,24 @@ _KEY_CONVERTERS = {
 }
 
 
+def _digit_limit(text: str) -> str:
+    """' of at most <limit> digits' when `text` holds more digits than
+    CPython's int() converts from text (sys.get_int_max_str_digits, where
+    0 or its absence means no limit), else ''."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < sum(map(str.isdecimal, text)):
+        return f" of at most {limit} digits"
+    return ""
+
+
 def _convert(key: str, text: str, line_number: int):
     convert, kind = _KEY_CONVERTERS[key]
     try:
         return convert(text)
     except ValueError:
+        limit = _digit_limit(text) if convert is int else ""
         raise ConfigError(
-            f"line {line_number}: {key} expects {kind}, got {text!r}"
+            f"line {line_number}: {key} expects {kind}{limit}, got {_shown(text)}"
         ) from None
 
 
@@ -151,13 +166,14 @@ def parse_config(text: str) -> RunConfig:
             continue
         if "=" not in line:
             raise ConfigError(
-                f"line {line_number}: expected 'key = value', got {raw_line.strip()!r}"
+                f"line {line_number}: expected 'key = value', "
+                f"got {_shown(raw_line.strip())}"
             )
         key, _, value_text = line.partition("=")
         key = key.strip()
         value_text = value_text.strip()
         if key not in _KEY_CONVERTERS:
-            raise ConfigError(f"line {line_number}: unknown key {key!r}")
+            raise ConfigError(f"line {line_number}: unknown key {_shown(key)}")
         if key in values:
             raise ConfigError(f"line {line_number}: duplicate key {key!r}")
         if not value_text:
@@ -168,6 +184,13 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**values)
 
 
+def generate_request(
+    rng: random.Random, length: int, low: int, high: int
+) -> tuple[int, ...]:
+    """Request of `length` uniformly random attribute values in [low, high]."""
+    return tuple(rand_int(rng, low, high) for _ in range(length))
+
+
 def generate_alphabet(
     rng: random.Random,
     pool_size: int,
@@ -175,18 +198,16 @@ def generate_alphabet(
     low: int,
     high: int,
 ) -> tuple[tuple[int, ...], ...]:
-    """Agent pool with uniformly random attribute values in [low, high]."""
+    """Agent pool with uniformly random attribute values in [low, high],
+    each agent drawn as a request of attributes_per_agent values is."""
     return tuple(
-        tuple(rand_int(rng, low, high) for _ in range(attributes_per_agent))
+        generate_request(rng, attributes_per_agent, low, high)
         for _ in range(pool_size)
     )
 
 
-def generate_request(
-    rng: random.Random, length: int, low: int, high: int
-) -> tuple[int, ...]:
-    """Request of `length` uniformly random attribute values in [low, high]."""
-    return tuple(rand_int(rng, low, high) for _ in range(length))
+# the settings a run passes on to EvolutionConfig under their own names
+_SHARED = [name for name in RunConfig._fields if name in EvolutionConfig._fields]
 
 
 def build_evolution_config(config: RunConfig) -> EvolutionConfig:
@@ -209,13 +230,8 @@ def build_evolution_config(config: RunConfig) -> EvolutionConfig:
     return EvolutionConfig(
         request=request,
         alphabet=alphabet,
-        rng_seed=config.rng_seed,
-        crossover_fraction=config.crossover_fraction,
-        mutation_fraction=config.mutation_fraction,
-        parsimony_coefficient=config.parsimony_coefficient,
-        population_floor=config.population_floor,
-        generations=config.generations,
         discriminating=config.mode == "discriminating",
+        **{name: getattr(config, name) for name in _SHARED},
     )
 
 
@@ -349,14 +365,15 @@ def read_population_file(path) -> Population:
         if key.strip() != "alphabet_size" or not value.strip():
             raise ConfigError(
                 f"line {line_number}: expected 'alphabet_size=<n>' header, "
-                f"got {line!r}"
+                f"got {_shown(line)}"
             )
+        value = value.strip()
         try:
-            header = int(value.strip())
+            header = int(value)
         except ValueError:
             raise ConfigError(
-                f"line {line_number}: alphabet_size expects an integer, "
-                f"got {value.strip()!r}"
+                f"line {line_number}: alphabet_size expects an integer"
+                f"{_digit_limit(value)}, got {_shown(value)}"
             ) from None
         if header < 2:
             raise ConfigError("alphabet_size must be at least 2")
@@ -373,14 +390,15 @@ def read_population_file(path) -> Population:
         # only now walk the lines again, to name the first one int() rejects
         body = islice(_lines(text), line_number, None)
         for line_number, raw_line in enumerate(body, start=line_number + 1):
-            line = raw_line.strip()
-            try:
-                tuple(map(int, line.split()))
-            except ValueError:
-                raise ConfigError(
-                    f"line {line_number}: member rows must be space-separated "
-                    f"integers, got {line!r}"
-                ) from None
+            for token in raw_line.split():
+                try:
+                    int(token)
+                except ValueError:
+                    raise ConfigError(
+                        f"line {line_number}: member rows must be space-separated "
+                        f"integers{_digit_limit(token)}, "
+                        f"got {_shown(raw_line.strip())}"
+                    ) from None
         raise
     if not rows:
         raise ConfigError("population file has no member rows")
@@ -403,30 +421,26 @@ def _drop_stale(stale: list[Path], written: str) -> None:
     stale.clear()
 
 
-def snapshot_due(generation: int, every: int, last: int) -> bool:
-    """True on the grid of `every` generations (0: never) and at the `last`."""
-    return every > 0 and (generation % every == 0 or generation == last)
+def run_experiment(config: RunConfig) -> list[GenerationStats]:
+    """Run one experiment and write its artifacts under config.output_dir.
 
-
-def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
-    """Run one experiment and write its artifacts under the output directory.
-
-    Writes snap_<generation>.txt and .ppm at the configured cadence as
-    each generation is made, then stats.csv, each file replaced whole,
-    and prints the final max fitness and efficiency.  Its first file in
-    place, it deletes an earlier run's stats.csv and snap_<digits>.txt and
-    .ppm files, and no other file.  `out_dir` overrides config.output_dir
-    when given.  Returns the stats rows.
+    Writes snap_<generation>.txt and .ppm every snapshot_every
+    generations (0: never) and at the last, as each generation is made,
+    then stats.csv, each file replaced whole.  Its first file in place,
+    it deletes an earlier run's stats.csv and snap_<digits>.txt and .ppm
+    files, and no other file.  Writes nothing to stdout; returns the
+    stats rows.
     """
     evolution_config = build_evolution_config(config)
-    directory = Path(out_dir if out_dir is not None else config.output_dir)
+    directory = Path(config.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
     stale = [path for path in directory.iterdir() if _ARTIFACT.fullmatch(path.name)]
+    every = config.snapshot_every
     stats = []
     for state, row in evolve(evolution_config):
         stats.append(row)
         generation = state.generation
-        if snapshot_due(generation, config.snapshot_every, config.generations):
+        if every and (generation % every == 0 or generation == config.generations):
             _write_atomic(
                 directory / f"snap_{generation}.txt", format_snapshot(state.population)
             )
@@ -436,8 +450,4 @@ def run_experiment(config: RunConfig, out_dir=None) -> list[GenerationStats]:
             )
     write_stats_csv(stats, directory / "stats.csv")
     _drop_stale(stale, "stats.csv")
-
-    final = stats[-1]
-    print(f"final_max_fitness: {_real(final.max_fitness)}")
-    print(f"final_efficiency: {_real(final.efficiency)}")
     return stats

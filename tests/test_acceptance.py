@@ -200,9 +200,9 @@ def test_criterion_5_selection_ablation(announce):
 
 
 def test_criterion_6_reproducible_artifacts(announce, tmp_path):
-    config = RunConfig(rng_seed=42, generations=40, snapshot_every=20)
-    run_experiment(config, out_dir=tmp_path / "first")
-    run_experiment(config, out_dir=tmp_path / "second")
+    config = dict(rng_seed=42, generations=40, snapshot_every=20)
+    run_experiment(RunConfig(**config, output_dir=str(tmp_path / "first")))
+    run_experiment(RunConfig(**config, output_dir=str(tmp_path / "second")))
 
     names = sorted(path.name for path in (tmp_path / "first").iterdir())
     ok = names == sorted(path.name for path in (tmp_path / "second").iterdir())

@@ -38,6 +38,23 @@ def unmeasurable_line(members, alphabet_size):
     )
 
 
+# CPython's limit on the digits int() converts from text (0: none)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (DIGIT_LIMIT + 1)
+needs_digit_limit = pytest.mark.skipif(
+    DIGIT_LIMIT == 0, reason="this Python converts integers of any length"
+)
+
+
+def assert_one_short_line(captured, start):
+    """One config error line that names the digit limit and quotes the
+    long value by a short prefix only."""
+    assert captured.out == ""
+    limit = f" of at most {DIGIT_LIMIT} digits, got "
+    assert captured.err.startswith(f"config error: {start}{limit}")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
+
 class TestRunCommand:
     def test_successful_run_writes_artifacts(self, tmp_path, capsys):
         config = write(tmp_path, "run.cfg", GOOD_CONFIG)
@@ -49,6 +66,17 @@ class TestRunCommand:
         printed = capsys.readouterr().out
         assert "final_max_fitness:" in printed
         assert "final_efficiency:" in printed
+
+    def test_final_lines_are_the_last_stats_row(self, tmp_path, capsys):
+        config = write(tmp_path, "run.cfg", GOOD_CONFIG)
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(config), "--output-dir", str(out_dir)]) == 0
+        last = (out_dir / "stats.csv").read_text(encoding="ascii").splitlines()[-1]
+        cells = last.split(",")
+        assert capsys.readouterr() == (
+            f"final_max_fitness: {cells[1]}\nfinal_efficiency: {cells[7]}\n",
+            "",
+        )
 
     def test_missing_config_file_is_an_io_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
@@ -132,6 +160,23 @@ class TestRunCommand:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "output_dir" in err
 
+    def test_nul_in_the_output_dir_flag_is_a_config_error(self, tmp_path, capsys):
+        # the flag builds the config anew, so it meets the key's check
+        config = write(tmp_path, "run.cfg", GOOD_CONFIG)
+        code = main(["run", "--config", str(config), "--output-dir", "a\0b"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "output_dir" in err
+
+    @needs_digit_limit
+    def test_a_seed_beyond_the_digit_limit_is_one_short_line(self, tmp_path, capsys):
+        config = write(tmp_path, "run.cfg", f"rng_seed = {TOO_LONG}\n")
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert_one_short_line(
+            capsys.readouterr(), "line 1: rng_seed expects an integer"
+        )
+
     def test_unknown_key_is_a_config_error(self, tmp_path, capsys):
         config = write(tmp_path, "bad.cfg", "rng_seed = 1\nspeed = 11\n")
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
@@ -178,6 +223,7 @@ class TestAnalyzeCommand:
         assert "alphabet_size: 2" in printed
         assert "calculable_length: 2" in printed
         assert "complexity: 2.000000000" in printed
+        assert "complexity_potential: 2.000000000" in printed
         assert "efficiency: 1.000000000" in printed
 
     def test_unmeasurable_population_exits_with_runtime_code(self, tmp_path, capsys):
@@ -247,6 +293,34 @@ class TestAnalyzeCommand:
         population = write(tmp_path, "pop.txt", "0 1\n")
         code = main(["analyze", "--population", str(population)])
         assert code == EXIT_CONFIG
+
+    @needs_digit_limit
+    def test_a_header_beyond_the_digit_limit_is_one_short_line(self, tmp_path, capsys):
+        population = write(tmp_path, "pop.txt", f"alphabet_size={TOO_LONG}\n0 1\n")
+        assert main(["analyze", "--population", str(population)]) == EXIT_CONFIG
+        assert_one_short_line(
+            capsys.readouterr(), "line 1: alphabet_size expects an integer"
+        )
+
+    @needs_digit_limit
+    def test_a_symbol_beyond_the_digit_limit_is_one_short_line(
+        self, tmp_path, capsys
+    ):
+        population = write(tmp_path, "pop.txt", f"alphabet_size=2\n0 1\n1 {TOO_LONG}\n")
+        assert main(["analyze", "--population", str(population)]) == EXIT_CONFIG
+        assert_one_short_line(
+            capsys.readouterr(), "line 3: member rows must be space-separated integers"
+        )
+
+    def test_a_long_bad_row_is_quoted_by_a_short_prefix(self, tmp_path, capsys):
+        text = "alphabet_size=2\n" + "0 " * 5000 + "x\n"
+        population = write(tmp_path, "pop.txt", text)
+        assert main(["analyze", "--population", str(population)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: line 2: member rows must be space-separated integers, "
+            f"got {'0 ' * 20!r}... (10001 characters)\n"
+        )
 
     def test_non_ascii_population_file_is_a_config_error(self, tmp_path, capsys):
         population = tmp_path / "pop.txt"

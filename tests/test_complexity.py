@@ -148,12 +148,11 @@ class TestPhysicalComplexityVariable:
         assert report.calculable_length == 5
         assert report.max_length == 6
         assert len(report.per_site_entropy) == 5
-        assert report.complexity_potential == 5.0
         assert report.complexity == pytest.approx(
-            report.complexity_potential - sum(report.per_site_entropy), abs=1e-12
+            report.calculable_length - sum(report.per_site_entropy), abs=1e-12
         )
         assert report.efficiency == pytest.approx(
-            report.complexity / report.complexity_potential, abs=1e-12
+            report.complexity / report.calculable_length, abs=1e-12
         )
 
     def test_unanimous_population(self, alphabet3):

@@ -369,6 +369,25 @@ class TestConfigAndState:
         assert config.generations == 300
         assert config.discriminating is True
 
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            (dict(rng_seed=1.0), "rng_seed"),
+            (dict(generations=2.5), "generations"),
+            (dict(crossover_fraction="0.1"), "crossover_fraction"),
+            (dict(discriminating="False"), "discriminating"),
+            (dict(discriminating=0), "discriminating"),
+        ],
+    )
+    def test_a_value_of_another_kind_names_its_key(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"^{key} expects "):
+            self.config(**overrides)
+
+    def test_integers_are_stored_as_operator_index_gives_them(self):
+        config = self.config(rng_seed=True, generations=False, population_floor=2)
+        assert config == self.config(rng_seed=1, generations=0, population_floor=2)
+        assert type(config.rng_seed) is int and type(config.generations) is int
+
     def test_rejects_out_of_range_fractions(self):
         with pytest.raises(ValueError):
             self.config(crossover_fraction=1.5)
@@ -651,7 +670,7 @@ class TestRun:
         """The files run_experiment writes for a quick run with `overrides`."""
         values = dict(rng_seed=12, generations=5, population_floor=12, pool_size=2)
         values.update(overrides)
-        run_experiment(RunConfig(**values), out_dir=directory)
+        run_experiment(RunConfig(**values, output_dir=str(directory)))
         return sorted(path.name for path in directory.iterdir())
 
     def test_row_count_is_generations_plus_one(self):

@@ -35,7 +35,7 @@ from evotropy import (
     run_experiment,
     write_stats_csv,
 )
-from evotropy.core import Population
+from evotropy.core import Population, _shown
 
 MINIMAL = "rng_seed = 42\n"
 
@@ -199,11 +199,28 @@ class TestValidation:
             (dict(attribute_max=10**400), "attribute_max"),
             (dict(attribute_min=-(10**400)), "attribute_max"),
             (dict(output_dir="out\0"), "output_dir"),
+            (dict(rng_seed=42.0), "^rng_seed expects an integer"),
+            (dict(generations=2.5), "^generations expects an integer"),
+            (dict(population_floor=160.5), "^population_floor expects an integer"),
+            (dict(pool_size=16.0), "^pool_size expects an integer"),
+            (dict(crossover_fraction="0.1"), "^crossover_fraction expects a real"),
+            (dict(parsimony_coefficient=10**400), "^parsimony_coefficient expects"),
         ],
     )
     def test_each_rule_names_its_key(self, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
             self.base(**overrides)
+
+    def test_equal_settings_are_stored_alike(self):
+        config = self.base(rng_seed=True, generations=True, crossover_fraction=0)
+        alike = self.base(rng_seed=1, generations=1, crossover_fraction=0.0)
+        assert repr(config) == repr(alike)
+        assert type(config.rng_seed) is int
+        assert type(config.crossover_fraction) is float
+
+    def test_a_true_seed_builds_the_world_of_seed_1(self):
+        world = build_evolution_config(self.base(rng_seed=True))
+        assert world == build_evolution_config(self.base(rng_seed=1))
 
 
 class TestGeneration:
@@ -223,6 +240,11 @@ class TestGeneration:
         first = generate_alphabet(random.Random(42), 5, 2, 0, 9)
         second = generate_alphabet(random.Random(42), 5, 2, 0, 9)
         assert first == second
+
+    def test_an_agent_is_drawn_as_a_request_is(self):
+        rng = random.Random(9)
+        agents = tuple(generate_request(rng, 3, 0, 9) for _ in range(5))
+        assert generate_alphabet(random.Random(9), 5, 3, 0, 9) == agents
 
     def test_attribute_values_cover_the_range(self):
         alphabet = generate_alphabet(random.Random(1), 100, 2, 0, 4)
@@ -592,14 +614,14 @@ def per_token_read(path) -> Population:
             if key.strip() != "alphabet_size" or not value.strip():
                 raise ConfigError(
                     f"line {line_number}: expected 'alphabet_size=<n>' header, "
-                    f"got {line!r}"
+                    f"got {_shown(line)}"
                 )
             try:
                 header = int(value.strip())
             except ValueError:
                 raise ConfigError(
                     f"line {line_number}: alphabet_size expects an integer, "
-                    f"got {value.strip()!r}"
+                    f"got {_shown(value.strip())}"
                 ) from None
             if header < 2:
                 raise ConfigError("alphabet_size must be at least 2")
@@ -609,7 +631,7 @@ def per_token_read(path) -> Population:
         except ValueError:
             raise ConfigError(
                 f"line {line_number}: member rows must be space-separated "
-                f"integers, got {line!r}"
+                f"integers, got {_shown(line)}"
             ) from None
     if header is None:
         raise ConfigError("population file is missing the alphabet_size header")
@@ -767,7 +789,7 @@ def test_every_member_is_a_plain_symbol_tuple(tmp_path):
 
 class TestRunExperiment:
     def test_writes_stats_and_snapshots(self, tmp_path, capsys):
-        stats = run_experiment(small_config(), out_dir=tmp_path)
+        stats = run_experiment(small_config(output_dir=str(tmp_path)))
         assert (tmp_path / "stats.csv").exists()
         for generation in (0, 2, 4):
             assert (tmp_path / f"snap_{generation}.txt").exists()
@@ -776,12 +798,11 @@ class TestRunExperiment:
         assert len(stats) == 5
         written = (tmp_path / "stats.csv").read_text(encoding="ascii")
         assert written == format_stats_csv(stats)
-        printed = capsys.readouterr().out
-        assert "final_max_fitness:" in printed
-        assert "final_efficiency:" in printed
+        # a run is silent: the CLI prints the final lines from these rows
+        assert capsys.readouterr() == ("", "")
 
     def test_snapshots_disabled_by_default_cadence(self, tmp_path, capsys):
-        run_experiment(small_config(snapshot_every=0), out_dir=tmp_path)
+        run_experiment(small_config(snapshot_every=0, output_dir=str(tmp_path)))
         assert (tmp_path / "stats.csv").exists()
         assert list(tmp_path.glob("snap_*")) == []
 
@@ -791,18 +812,21 @@ class TestRunExperiment:
         assert (tmp_path / "nested" / "deep" / "stats.csv").exists()
 
     def test_rewriting_is_byte_identical(self, tmp_path, capsys):
-        run_experiment(small_config(), out_dir=tmp_path / "a")
-        run_experiment(small_config(), out_dir=tmp_path / "b")
+        run_experiment(small_config(output_dir=str(tmp_path / "a")))
+        run_experiment(small_config(output_dir=str(tmp_path / "b")))
         for name in ("stats.csv", "snap_0.txt", "snap_0.ppm", "snap_4.ppm"):
             first = (tmp_path / "a" / name).read_bytes()
             second = (tmp_path / "b" / name).read_bytes()
             assert first == second
 
     def test_modes_write_different_histories(self, tmp_path, capsys):
-        run_experiment(small_config(generations=30), out_dir=tmp_path / "d")
+        run_experiment(small_config(generations=30, output_dir=str(tmp_path / "d")))
         run_experiment(
-            small_config(generations=30, mode="nondiscriminating"),
-            out_dir=tmp_path / "n",
+            small_config(
+                generations=30,
+                mode="nondiscriminating",
+                output_dir=str(tmp_path / "n"),
+            )
         )
         disc = (tmp_path / "d" / "stats.csv").read_text(encoding="ascii")
         flat = (tmp_path / "n" / "stats.csv").read_text(encoding="ascii")
@@ -811,13 +835,11 @@ class TestRunExperiment:
     def test_a_failed_run_leaves_only_its_own_snapshots(
         self, tmp_path, capsys, monkeypatch
     ):
-        config = small_config(rng_seed=18, generations=6, snapshot_every=1)
         clean = tmp_path / "clean"
-        run_experiment(config, out_dir=clean)
         shared = tmp_path / "shared"
-        run_experiment(
-            small_config(rng_seed=17, generations=6, snapshot_every=1), out_dir=shared
-        )
+        config = dict(generations=6, snapshot_every=1)
+        run_experiment(small_config(rng_seed=18, output_dir=str(clean), **config))
+        run_experiment(small_config(rng_seed=17, output_dir=str(shared), **config))
         for name in ("notes.txt", "snap_x.txt"):
             (shared / name).write_text("kept\n", encoding="ascii")
 
@@ -836,7 +858,9 @@ class TestRunExperiment:
         monkeypatch.setattr(evolution, "step_generation", recording_step)
         monkeypatch.setattr(evolution, "mutate", failing_mutate)
         with pytest.raises(RuntimeError, match="generation 3"):
-            run_experiment(config, out_dir=shared)
+            run_experiment(
+                small_config(rng_seed=18, output_dir=str(shared), **config)
+            )
 
         snapshots = [f"snap_{n}.{kind}" for n in range(3) for kind in ("txt", "ppm")]
         assert sorted(path.name for path in shared.iterdir()) == sorted(
@@ -847,9 +871,9 @@ class TestRunExperiment:
         assert (shared / "snap_x.txt").read_text(encoding="ascii") == "kept\n"
 
     def test_a_rerun_replaces_the_earlier_run_s_artifacts(self, tmp_path, capsys):
-        run_experiment(small_config(generations=6), out_dir=tmp_path / "a")
-        run_experiment(small_config(generations=2), out_dir=tmp_path / "a")
-        run_experiment(small_config(generations=2), out_dir=tmp_path / "b")
+        run_experiment(small_config(generations=6, output_dir=str(tmp_path / "a")))
+        run_experiment(small_config(generations=2, output_dir=str(tmp_path / "a")))
+        run_experiment(small_config(generations=2, output_dir=str(tmp_path / "b")))
         assert sorted(path.name for path in (tmp_path / "a").iterdir()) == [
             "snap_0.ppm",
             "snap_0.txt",
@@ -862,6 +886,7 @@ class TestRunExperiment:
 
     def test_invalid_config_is_rejected_before_any_output(self, tmp_path):
         with pytest.raises(ConfigError):
-            bad = small_config(population_floor=2)  # below pool_size
-            run_experiment(bad, out_dir=tmp_path / "x")
+            # population_floor below pool_size
+            bad = small_config(population_floor=2, output_dir=str(tmp_path / "x"))
+            run_experiment(bad)
         assert not (tmp_path / "x").exists()
