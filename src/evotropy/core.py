@@ -13,11 +13,13 @@ copied, hashed and compared structurally.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from itertools import chain
 from operator import index
 
 __all__ = [
+    "ConfigError",
     "Population",
 ]
 
@@ -25,21 +27,82 @@ __all__ = [
 _SHOWN = 40
 
 
-def _shown(value, form=repr) -> str:
-    """form(str(value)) for an error message, or, when that text is longer
-    than _SHOWN characters, form of its first _SHOWN and its length."""
-    text = str(value)
+class ConfigError(ValueError):
+    """Bad configuration text or field values; messages name the key or field."""
+
+
+def _digit_limit(text: str) -> str:
+    """' of at most <limit> digits' when `text` holds more digits than
+    CPython's int() converts from text (sys.get_int_max_str_digits, where
+    0 or its absence means no limit), else ''."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < sum(map(str.isdecimal, text)):
+        return f" of at most {limit} digits"
+    return ""
+
+
+def _shown(value, form=repr, render=str) -> str:
+    """form(render(value)) for an error message, or, when that text is
+    longer than _SHOWN characters, form of its first _SHOWN and its length.
+    An int that render refuses is named by CPython's digit limit instead."""
+    try:
+        text = render(value)
+    except ValueError:
+        # only an int past sys.get_int_max_str_digits() refuses str and repr
+        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
     if len(text) <= _SHOWN:
         return form(text)
     return f"{form(text[:_SHOWN])}... ({len(text)} characters)"
+
+
+def _real_number(value) -> float:
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError  # float() would parse text too
+    return float(value)
+
+
+def _truth_value(value) -> bool:
+    if value is True or value is False:
+        return value
+    raise TypeError
+
+
+def _text(value) -> str:
+    if isinstance(value, str):
+        return str(value)
+    raise TypeError
+
+
+# each record field kind's one stored form, the parser that reads it from
+# config text, and what an error message says the field expects
+_KINDS = {
+    "int": (index, int, "an integer"),
+    "float": (_real_number, float, "a real number"),
+    "bool": (_truth_value, None, "True or False"),
+    "str": (_text, str, "text"),
+}
+
+
+def _settle(name: str, kind: str, value):
+    """`value` in the one form of its field's kind: an int as operator.index
+    gives it (True as 1), a real number as a float, a bool only as True or
+    False, text as a str.  Raises ConfigError naming the field otherwise."""
+    form, _, expected = _KINDS[kind]
+    try:
+        return form(value)
+    except (TypeError, OverflowError):
+        raise ConfigError(
+            f"{name} expects {expected}, got {_shown(value, str, repr)}"
+        ) from None
 
 
 class _Record:
     """An immutable value whose fields are its class annotations, in order.
 
     Each subclass gets a constructor that takes its fields in that order,
-    with the defaults its class body gives them, stores them and calls
-    _post_init to normalise and check them.  Equality, hashing and repr go
+    with the defaults its class body gives them, stores them, each int,
+    float, bool and str field through _settle, and calls _post_init to
+    normalise and check the rest.  Equality, hashing and repr go
     by the fields alone; assigning or deleting an attribute afterwards
     raises AttributeError.  Pickling and copying restore the attributes
     as stored, without running the constructor again.
@@ -56,8 +119,14 @@ class _Record:
             f"{name}=cls.{name}" if name in cls.__dict__ else name
             for name in cls._fields
         )
-        body = "".join(f"\n    store(self, {name!r}, {name})" for name in cls._fields)
-        scope = {"cls": cls, "store": object.__setattr__}
+        # an int, float, bool or str field is stored in its kind's one form
+        body = "".join(
+            f"\n    store(self, {name!r}, settle({name!r}, {kind!r}, {name}))"
+            if kind in _KINDS
+            else f"\n    store(self, {name!r}, {name})"
+            for name, kind in cls.__annotations__.items()
+        )
+        scope = {"cls": cls, "store": object.__setattr__, "settle": _settle}
         exec(f"def __init__(self, {params}):{body}\n    self._post_init()", scope)
         cls.__init__ = scope["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"

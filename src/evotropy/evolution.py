@@ -19,11 +19,10 @@ from itertools import accumulate
 from operator import index, truediv
 
 from .complexity import physical_complexity_variable
-from .core import Population, _Record, _shown
+from .core import ConfigError, Population, _Record, _shown
 
 __all__ = [
     "INITIAL_LENGTH_RANGE",
-    "ConfigError",
     "EvolutionConfig",
     "EvolutionState",
     "GenerationStats",
@@ -43,10 +42,6 @@ __all__ = [
 INITIAL_LENGTH_RANGE = (1, 5)
 
 _MUTATION_KINDS = ("insert", "replace", "delete")
-
-
-class ConfigError(ValueError):
-    """Bad configuration text or values; messages name the offending key."""
 
 
 def rand_below(rng: random.Random, n: int) -> int:
@@ -105,7 +100,6 @@ class EvolutionConfig(_Record):
     discriminating: bool = True
 
     def _post_init(self) -> None:
-        normalise_fields(self)
         try:
             alphabet = tuple(tuple(map(index, agent)) for agent in self.alphabet)
         except TypeError:
@@ -163,46 +157,6 @@ def _check_smallest_weight(config: EvolutionConfig) -> None:
         )
 
 
-def _real_number(value) -> float:
-    if isinstance(value, (str, bytes, bytearray)):
-        raise TypeError  # float() would parse text too
-    return float(value)
-
-
-def _truth_value(value) -> bool:
-    if value is True or value is False:
-        return value
-    raise TypeError
-
-
-# each settings field kind's one form, and what an error message expects
-_KINDS = {
-    "int": (index, "an integer"),
-    "float": (_real_number, "a real number within float range"),
-    "bool": (_truth_value, "True or False"),
-}
-
-
-def normalise_fields(settings) -> None:
-    """Store each int, float and bool field of a settings record in its one
-    form, so that equal settings run alike: an int as operator.index gives
-    it (True as 1), a real number as a float, a bool only as True or False.
-
-    The one rule for EvolutionConfig and harness.RunConfig, applied before
-    their other checks; a ConfigError names the first field it rejects.
-    """
-    for name, kind in type(settings).__annotations__.items():
-        if kind in _KINDS:
-            form, expected = _KINDS[kind]
-            value = getattr(settings, name)
-            try:
-                object.__setattr__(settings, name, form(value))
-            except (TypeError, OverflowError):
-                raise ConfigError(
-                    f"{name} expects {expected}, got {_shown(repr(value), str)}"
-                ) from None
-
-
 def check_settings(settings, pool_size: int) -> None:
     """Reject run settings that break an invariant; messages name the key.
 
@@ -225,11 +179,17 @@ def check_settings(settings, pool_size: int) -> None:
         raise ConfigError(
             f"parsimony_coefficient must be finite and >= 0, got {coefficient}"
         )
+    try:
+        # the length penalty scales a float by the excess
+        excess = float(_longest_excess(settings.generations))
+    except OverflowError:
+        raise ConfigError("generations must convert to a finite float") from None
     # the penalty 1 + coefficient * excess stays finite whenever this does
-    if not math.isfinite(coefficient * _longest_excess(settings.generations)):
+    if not math.isfinite(coefficient * excess):
         raise ConfigError(
             f"parsimony_coefficient {coefficient} is too large for "
-            f"{settings.generations} generations: the length penalty overflows"
+            f"{_shown(settings.generations, str)} generations: the length penalty "
+            "overflows"
         )
     if settings.population_floor < pool_size:
         raise ConfigError(

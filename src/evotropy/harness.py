@@ -14,18 +14,15 @@ import colorsys
 import os
 import random
 import re
-import sys
 from itertools import islice, repeat
 from pathlib import Path
 
-from .core import Population, _Record, _shown
+from .core import _KINDS, ConfigError, Population, _Record, _digit_limit, _shown
 from .evolution import (
-    ConfigError,
     EvolutionConfig,
     GenerationStats,
     check_settings,
     evolve,
-    normalise_fields,
     rand_int,
 )
 
@@ -85,7 +82,6 @@ class RunConfig(_Record):
     output_dir: str = "out"
 
     def _post_init(self) -> None:
-        normalise_fields(self)
         if self.mode not in MODES:
             raise ConfigError(
                 f"mode must be one of {', '.join(MODES)}; got {_shown(self.mode)}"
@@ -119,36 +115,14 @@ class RunConfig(_Record):
         check_settings(self, self.pool_size)
 
 
-# each key's converter and, for its error message, what it expects, read
-# off its RunConfig annotation (a string under postponed annotations)
-_CONVERTERS = {
-    "int": (int, "an integer"),
-    "float": (float, "a number"),
-    "str": (str, ""),
-}
-_KEY_CONVERTERS = {
-    name: _CONVERTERS[kind] for name, kind in RunConfig.__annotations__.items()
-}
-
-
-def _digit_limit(text: str) -> str:
-    """' of at most <limit> digits' when `text` holds more digits than
-    CPython's int() converts from text (sys.get_int_max_str_digits, where
-    0 or its absence means no limit), else ''."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if 0 < limit < sum(map(str.isdecimal, text)):
-        return f" of at most {limit} digits"
-    return ""
-
-
-def _convert(key: str, text: str, line_number: int):
-    convert, kind = _KEY_CONVERTERS[key]
+def _convert(key: str, kind: str, text: str, line_number: int):
+    _, parse, expected = _KINDS[kind]
     try:
-        return convert(text)
+        return parse(text)
     except ValueError:
-        limit = _digit_limit(text) if convert is int else ""
+        limit = _digit_limit(text) if parse is int else ""
         raise ConfigError(
-            f"line {line_number}: {key} expects {kind}{limit}, got {_shown(text)}"
+            f"line {line_number}: {key} expects {expected}{limit}, got {_shown(text)}"
         ) from None
 
 
@@ -172,13 +146,15 @@ def parse_config(text: str) -> RunConfig:
         key, _, value_text = line.partition("=")
         key = key.strip()
         value_text = value_text.strip()
-        if key not in _KEY_CONVERTERS:
+        if key not in RunConfig._fields:
             raise ConfigError(f"line {line_number}: unknown key {_shown(key)}")
         if key in values:
             raise ConfigError(f"line {line_number}: duplicate key {key!r}")
         if not value_text:
             raise ConfigError(f"line {line_number}: {key} has no value")
-        values[key] = _convert(key, value_text, line_number)
+        values[key] = _convert(
+            key, RunConfig.__annotations__[key], value_text, line_number
+        )
     if "rng_seed" not in values:
         raise ConfigError("missing required key 'rng_seed'")
     return RunConfig(**values)
@@ -367,14 +343,7 @@ def read_population_file(path) -> Population:
                 f"line {line_number}: expected 'alphabet_size=<n>' header, "
                 f"got {_shown(line)}"
             )
-        value = value.strip()
-        try:
-            header = int(value)
-        except ValueError:
-            raise ConfigError(
-                f"line {line_number}: alphabet_size expects an integer"
-                f"{_digit_limit(value)}, got {_shown(value)}"
-            ) from None
+        header = _convert("alphabet_size", "int", value.strip(), line_number)
         if header < 2:
             raise ConfigError("alphabet_size must be at least 2")
         break

@@ -1,6 +1,14 @@
+import sys
+
 import pytest
 
 from evotropy import Population, complexity
+
+# CPython's limit on the digits int() converts from text (0: none)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    DIGIT_LIMIT == 0, reason="this Python converts integers of any length"
+)
 
 
 def make_alphabet(size, attributes=None):

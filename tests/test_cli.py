@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DIGIT_LIMIT, needs_digit_limit
 from evotropy import __version__, cli, evolution
 from evotropy.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 
@@ -38,12 +39,7 @@ def unmeasurable_line(members, alphabet_size):
     )
 
 
-# CPython's limit on the digits int() converts from text (0: none)
-DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 TOO_LONG = "9" * (DIGIT_LIMIT + 1)
-needs_digit_limit = pytest.mark.skipif(
-    DIGIT_LIMIT == 0, reason="this Python converts integers of any length"
-)
 
 
 def assert_one_short_line(captured, start):

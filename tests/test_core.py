@@ -2,8 +2,9 @@ import inspect
 
 import pytest
 
-from conftest import make_alphabet, make_population
+from conftest import DIGIT_LIMIT, make_alphabet, make_population, needs_digit_limit
 from evotropy import (
+    ConfigError,
     EvolutionConfig,
     Population,
     evolve,
@@ -128,10 +129,22 @@ class TestPopulation:
         fields = list(inspect.signature(Population).parameters)
         assert fields == ["members", "alphabet_size"]
 
-    @pytest.mark.parametrize("size", [1, 0, -2])
+    @pytest.mark.parametrize("size", [1, 0, -2, True])
     def test_rejects_an_alphabet_size_below_two(self, size):
         with pytest.raises(ValueError, match="at least 2 agents"):
             Population(((0,),), size)
+
+    @pytest.mark.parametrize("size", [2.5, 3.0, "3"])
+    def test_rejects_an_alphabet_size_that_is_not_an_integer(self, size):
+        # entropies in base 2.5 would be measured in no alphabet's unit
+        with pytest.raises(ConfigError, match="^alphabet_size expects an integer"):
+            Population([(0,), (1,)] * 2, size)
+
+    @needs_digit_limit
+    def test_a_symbol_past_the_digit_limit_is_named_by_it(self):
+        message = f"^symbol an integer of more than {DIGIT_LIMIT} digits is not"
+        with pytest.raises(ValueError, match=message):
+            Population([(0, 10**DIGIT_LIMIT)], 2)
 
     def test_duplicates_are_distinct_members(self, alphabet2):
         population = make_population(alphabet2, [[0], [0], [0]])

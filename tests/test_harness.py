@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import DIGIT_LIMIT, needs_digit_limit
 from evotropy import (
     MODES,
     STATS_HEADER,
@@ -129,7 +130,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as excinfo:
             parse_config("rng_seed = 1\ncrossover_fraction = lots\n")
         assert str(excinfo.value) == (
-            "line 2: crossover_fraction expects a number, got 'lots'"
+            "line 2: crossover_fraction expects a real number, got 'lots'"
         )
 
     def test_missing_seed_is_rejected(self):
@@ -205,11 +206,26 @@ class TestValidation:
             (dict(pool_size=16.0), "^pool_size expects an integer"),
             (dict(crossover_fraction="0.1"), "^crossover_fraction expects a real"),
             (dict(parsimony_coefficient=10**400), "^parsimony_coefficient expects"),
+            (dict(generations=10**400), "^generations must convert to a finite float"),
+            (dict(output_dir=Path("x")), "^output_dir expects text"),
         ],
     )
     def test_each_rule_names_its_key(self, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
             self.base(**overrides)
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            (dict(generations=-(10**DIGIT_LIMIT)), "generations"),
+            (dict(attribute_min=10**DIGIT_LIMIT), "attribute_min"),
+        ],
+    )
+    def test_an_integer_past_the_digit_limit_is_named_by_it(self, overrides, key):
+        with pytest.raises(ConfigError, match=f"^{key} ") as excinfo:
+            self.base(**overrides)
+        assert f"an integer of more than {DIGIT_LIMIT} digits" in str(excinfo.value)
 
     def test_equal_settings_are_stored_alike(self):
         config = self.base(rng_seed=True, generations=True, crossover_fraction=0)

@@ -7,6 +7,7 @@ as written."""
 import ast
 import copy
 import inspect
+import os
 import pickle
 import re
 import subprocess
@@ -145,6 +146,38 @@ def test_the_cli_imports_no_slow_module():
     assert [name for name in SLOW_IMPORTS if name in loaded] == []
 
 
+def test_a_pth_file_in_a_fresh_venv_imports_the_checkout(tmp_path):
+    # the README's install route that needs neither a download nor a build
+    source = Path(evotropy.__file__).resolve().parent.parent
+    venv = tmp_path / "venv"
+    subprocess.run(
+        [sys.executable, "-m", "venv", "--without-pip", str(venv)],
+        check=True,
+        timeout=120,
+    )
+    python = str(venv / ("Scripts" if sys.platform == "win32" else "bin") / "python")
+    # without PYTHONPATH, only the .pth file can name src
+    environment = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    site = subprocess.run(
+        [python, "-c", "import sysconfig; print(sysconfig.get_path('purelib'))"],
+        env=environment,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout.strip()
+    Path(site, "evotropy.pth").write_text(f"{source}\n", encoding="utf-8")
+    version = subprocess.run(
+        [python, "-m", "evotropy.cli", "--version"],
+        env=environment,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert version.stdout == f"evotropy {evotropy.__version__}\n"
+
+
 def seed_42_values():
     """One value of each public value type, from the first generation of
     the default seed-42 run."""
@@ -184,6 +217,41 @@ def test_value_types_copy_compare_and_stay_frozen(name):
     with pytest.raises(AttributeError):
         delattr(value, field)
     assert getattr(value, field) is kept
+
+
+def test_every_record_type_has_a_value():
+    records = [
+        cls.__name__
+        for cls in core._Record.__subclasses__()
+        if cls.__module__.startswith("evotropy.")
+    ]
+    assert sorted(records) == sorted(VALUES)
+
+
+# a value of another kind for each field kind a record settles
+WRONG_KIND = {"int": 2.5, "float": "0.5", "bool": 1, "str": b"text"}
+
+SETTLED = [
+    (name, field, kind)
+    for name, value in sorted(VALUES.items())
+    for field, kind in type(value).__annotations__.items()
+    if kind in core._KINDS
+]
+
+
+@pytest.mark.parametrize(("name", "field", "kind"), SETTLED)
+def test_a_field_value_of_another_kind_names_the_field(name, field, kind):
+    value = VALUES[name]
+    fields = {each: getattr(value, each) for each in value._fields}
+    fields[field] = WRONG_KIND[kind]
+    expected = re.escape(f"{field} expects {core._KINDS[kind][2]}, got ")
+    with pytest.raises(core.ConfigError, match=f"^{expected}"):
+        type(value)(**fields)
+
+
+def test_every_config_key_has_a_text_parser():
+    for kind in harness.RunConfig.__annotations__.values():
+        assert core._KINDS[kind][1] is not None, kind
 
 
 def test_the_package_version_is_the_project_version():
