@@ -34,7 +34,6 @@ __all__ = [
     "select",
     "crossover_pair",
     "mutate",
-    "step_generation",
     "evolve",
 ]
 
@@ -209,6 +208,10 @@ class EvolutionState(_Record):
     def _post_init(self) -> None:
         if self.generation < 0:
             raise ValueError(f"generation must be >= 0, got {self.generation}")
+        if not isinstance(self.population, Population):
+            raise ValueError(
+                f"population must be a Population, got {type(self.population).__name__}"
+            )
 
 
 class GenerationStats(_Record):
@@ -411,26 +414,8 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-class _RunState:
-    """What evolve keeps from one step to the next: the live Random, so no
-    step rebuilds it from rng_state, the {symbols: raw fitness} table of
-    the last population scored, and the member lengths of the next one."""
-
-    __slots__ = ("rng", "scores", "lengths")
-
-    def __init__(
-        self,
-        rng: random.Random,
-        scores: dict[tuple[int, ...], float],
-        lengths: list[int],
-    ) -> None:
-        self.rng = rng
-        self.scores = scores
-        self.lengths = lengths
-
-
 def _stats_for(
-    generation: int, raw: Sequence[float], population: Population, lengths: list[int]
+    generation: int, raw: Sequence[float], population: Population
 ) -> GenerationStats:
     # never unmeasurable: check_settings keeps population_floor >= the pool size
     report = physical_complexity_variable(population)
@@ -438,7 +423,7 @@ def _stats_for(
         generation=generation,
         max_fitness=max(raw),
         mean_fitness=_mean(raw),
-        mean_length=_mean(lengths),
+        mean_length=_mean(list(map(len, population.members))),
         population_size=len(population),
         calculable_length=report.calculable_length,
         complexity=report.complexity,
@@ -447,8 +432,11 @@ def _stats_for(
 
 
 def step_generation(
-    state: EvolutionState, config: EvolutionConfig, *, _run: _RunState | None = None
-) -> tuple[EvolutionState, GenerationStats]:
+    state: EvolutionState,
+    config: EvolutionConfig,
+    rng: random.Random,
+    known: dict[tuple[int, ...], float],
+) -> tuple[EvolutionState, GenerationStats, dict[tuple[int, ...], float]]:
     """Advance one generation: evaluate, select, recombine, mutate, measure.
 
     The order is fixed: raw fitness for everyone, parsimony adjustment
@@ -459,32 +447,23 @@ def step_generation(
     (crossover children included), then the complexity report of the new
     population.  The returned stats carry the raw fitness of the
     evaluated parents together with the shape of the population they
-    produced.  Raises ValueError when the state's population records
-    another alphabet size than config.alphabet has.
+    produced.
 
-    `_run` is evolve's per-run state; without it the step rebuilds the
-    Random from state.rng_state, scores every member afresh and lists
-    their lengths, which gives the same result.
+    `rng` is the run's live Random and `known` the {symbols: raw
+    fitness} table of the previous generation; the step returns the
+    table of the population it scored, for the next step.  evolve, the
+    one caller, checks the state's population against config.alphabet.
     """
     alphabet = config.alphabet
     size = len(alphabet)
-    # the population built below skips the checks: it holds at least
-    # `target` members, each drawn from this one, whose symbols lie below
-    # its alphabet_size, or varied with symbols drawn below the same size
-    if state.population.alphabet_size != size:
-        raise ValueError("the state's population is not over the config's alphabet")
     members = state.population.members
-    if _run is None:
-        rng = random.Random()
-        rng.setstate(state.rng_state)
-        _run = _RunState(rng, {}, list(map(len, members)))
-    rng = _run.rng
+    lengths = list(map(len, members))
 
-    raw, _run.scores = _scores(members, config.gaps, _run.scores)
-    mean_length = _mean(_run.lengths)
+    raw, scores = _scores(members, config.gaps, known)
+    mean_length = _mean(lengths)
     if config.discriminating:
         weights = parsimony_adjusted_fitness(
-            raw, _run.lengths, mean_length, config.parsimony_coefficient
+            raw, lengths, mean_length, config.parsimony_coefficient
         )
     else:
         # the nondiscriminating baseline feeds flat weights to the same roulette
@@ -509,38 +488,56 @@ def step_generation(
         survivors[index] = mutate(survivors[index], alphabet, rng)
 
     next_population = Population._trusted(tuple(survivors), size)
-    _run.lengths = list(map(len, survivors))
-    stats = _stats_for(state.generation + 1, raw, next_population, _run.lengths)
+    stats = _stats_for(state.generation + 1, raw, next_population)
     next_state = EvolutionState(
         generation=state.generation + 1,
         population=next_population,
         rng_state=rng.getstate(),
     )
-    return next_state, stats
+    return next_state, stats, scores
 
 
-def evolve(config: EvolutionConfig) -> Iterator[tuple[EvolutionState, GenerationStats]]:
-    """Seed a population from the config and iterate the generation loop.
+def evolve(
+    config: EvolutionConfig, start: EvolutionState | None = None
+) -> Iterator[tuple[EvolutionState, GenerationStats]]:
+    """Iterate the generation loop from a seeded population, or from `start`.
 
-    The initial population holds population_floor members with lengths
-    drawn uniformly from INITIAL_LENGTH_RANGE and uniformly random
-    symbols.  Yields (state, stats) for generation 0, the freshly seeded
-    population, then after each of config.generations steps.  The loop
-    owns the live Random and the last generation's scores and hands both
-    to every step.
+    Without `start`, the loop seeds population_floor members, lengths
+    drawn uniformly from INITIAL_LENGTH_RANGE and symbols uniformly at
+    random, and yields (state, stats) for this generation 0 first.  With
+    `start`, the Random continues from start.rng_state and the start
+    itself is not yielded again.  Then it yields (state, stats) after each
+    step, up to generation config.generations.  Raises ValueError when
+    the start's population is over another alphabet size than
+    config.alphabet has, or when random.Random refuses start.rng_state.
     """
-    rng = random.Random(config.rng_seed)
     size = len(config.alphabet)
-    low, high = INITIAL_LENGTH_RANGE
-    members = []
-    for _ in range(config.population_floor):
-        length = rand_int(rng, low, high)
-        members.append(tuple(rand_below(rng, size) for _ in range(length)))
-    population = Population(tuple(members), size)
-    state = EvolutionState(0, population, rng.getstate())
-    raw, scores = _scores(members, config.gaps, {})
-    run_state = _RunState(rng, scores, list(map(len, members)))
-    yield state, _stats_for(0, raw, population, run_state.lengths)
-    for _ in range(config.generations):
-        state, stats = step_generation(state, config, _run=run_state)
+    if start is None:
+        rng = random.Random(config.rng_seed)
+        low, high = INITIAL_LENGTH_RANGE
+        members = []
+        for _ in range(config.population_floor):
+            length = rand_int(rng, low, high)
+            members.append(tuple(rand_below(rng, size) for _ in range(length)))
+        population = Population(tuple(members), size)
+        state = EvolutionState(0, population, rng.getstate())
+        raw, scores = _scores(members, config.gaps, {})
+        yield state, _stats_for(0, raw, population)
+    else:
+        # each step builds its population unchecked: it holds at least
+        # population_floor members, each drawn from the last, whose symbols
+        # lie below its alphabet_size, or varied below the same size
+        if start.population.alphabet_size != size:
+            raise ValueError("the start's population is not over the config's alphabet")
+        rng = random.Random()
+        try:
+            rng.setstate(start.rng_state)
+        except (LookupError, TypeError, ValueError, OverflowError):
+            raise ValueError(
+                "rng_state is not a state random.Random.setstate accepts"
+            ) from None
+        state, scores = start, {}
+    for _ in range(state.generation, config.generations):
+        # a module-global lookup, so a wrapper put on step_generation sees each step
+        state, stats, scores = step_generation(state, config, rng, scores)
         yield state, stats

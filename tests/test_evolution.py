@@ -30,7 +30,6 @@ from evotropy import (
     run_experiment,
     sample_indices,
     select,
-    step_generation,
 )
 
 
@@ -334,7 +333,7 @@ class TestTargetPopulationSize:
             rng_seed=7,
             population_floor=floor,
         )
-        next_state, _ = step_generation(make_state(config, rows), config)
+        next_state, _ = stepped(config, make_state(config, rows))
         return len(next_state.population)
 
     def test_floor_wins_for_short_sequences(self):
@@ -449,6 +448,11 @@ class TestConfigAndState:
         with pytest.raises(ValueError):
             EvolutionState(0, Population((), len(alphabet2)), random.Random(0).getstate())
 
+    def test_state_rejects_a_population_that_is_not_a_population(self):
+        state = random.Random(0).getstate()
+        with pytest.raises(ValueError, match="population must be a Population"):
+            EvolutionState(0, [(0, 1)], state)
+
     def test_stats_reject_max_below_mean(self):
         with pytest.raises(ValueError):
             GenerationStats(
@@ -466,6 +470,11 @@ class TestConfigAndState:
 def make_state(config, rows, generation=0):
     population = make_population(config.alphabet, rows)
     return EvolutionState(generation, population, random.Random(config.rng_seed).getstate())
+
+
+def stepped(config, state):
+    """The (state, stats) of the generation after `state`."""
+    return next(evolve(config, start=state))
 
 
 class TestStepGeneration:
@@ -486,7 +495,7 @@ class TestStepGeneration:
     def test_unanimous_perfect_population_is_a_fixed_point(self):
         config = self.perfect_config()
         state = make_state(config, [[0, 1]] * 4)
-        next_state, stats = step_generation(state, config)
+        next_state, stats = stepped(config, state)
         assert symbol_rows(next_state.population) == [[0, 1]] * 4
         assert next_state.generation == 1
         assert stats.generation == 1
@@ -502,7 +511,7 @@ class TestStepGeneration:
         config = self.perfect_config(population_floor=4)
         # mean length 4 -> target max(4, ceil(2 * 4)) = 8
         state = make_state(config, [[0, 1, 0, 1]] * 4)
-        next_state, stats = step_generation(state, config)
+        next_state, stats = stepped(config, state)
         assert stats.population_size == 8
         assert len(next_state.population) == 8
 
@@ -517,7 +526,7 @@ class TestStepGeneration:
             population_floor=4,
         )
         state = make_state(config, [[0, 1]] * 4)
-        _, stats = step_generation(state, config)
+        _, stats = stepped(config, state)
         # parents were all perfect even though every child changed
         assert stats.max_fitness == 1.0
         assert stats.mean_fitness == 1.0
@@ -535,7 +544,7 @@ class TestStepGeneration:
         # half the members are perfect (fitness 1), half far off (1/7)
         rows = [[0]] * 10 + [[1]] * 10
         state = make_state(config, rows)
-        next_state, _ = step_generation(state, config)
+        next_state, _ = stepped(config, state)
         perfect = sum(
             1 for member in next_state.population.members if member == (0,)
         )
@@ -558,7 +567,7 @@ class TestStepGeneration:
         state = make_state(config, [[0, 1], [1, 2]])
         with pytest.raises(UnmeasurablePopulationError):
             physical_complexity_variable(state.population)
-        next_state, stats = step_generation(state, config)
+        next_state, stats = stepped(config, state)
         # the target is max(floor, ceil(3 * mean length 2)) = 6 members
         assert stats.population_size == len(next_state.population) == 6
         assert stats.calculable_length == 2
@@ -581,15 +590,15 @@ class TestStepGeneration:
             0, make_population(other, rows), random.Random(5).getstate()
         )
         with pytest.raises(ValueError, match="config's alphabet"):
-            step_generation(state, config)
+            stepped(config, state)
 
     def test_step_is_deterministic(self):
         config = self.perfect_config(
             crossover_fraction=0.5, mutation_fraction=0.5, rng_seed=9
         )
         rows = [[0, 1], [1, 0], [0, 0, 1], [1], [0, 1, 1, 0]] * 4
-        first_state, first_stats = step_generation(make_state(config, rows), config)
-        second_state, second_stats = step_generation(make_state(config, rows), config)
+        first_state, first_stats = stepped(config, make_state(config, rows))
+        second_state, second_stats = stepped(config, make_state(config, rows))
         assert symbol_rows(first_state.population) == symbol_rows(
             second_state.population
         )
@@ -609,8 +618,8 @@ class TestStepGeneration:
             discriminating=False,
         )
         rows = [[0, 1]] * 8
-        state_disc, stats_disc = step_generation(make_state(base, rows), base)
-        state_flat, stats_flat = step_generation(make_state(flat, rows), flat)
+        state_disc, stats_disc = stepped(base, make_state(base, rows))
+        state_flat, stats_flat = stepped(flat, make_state(flat, rows))
         assert symbol_rows(state_disc.population) == symbol_rows(state_flat.population)
         assert stats_disc == stats_flat
         assert state_disc.rng_state == state_flat.rng_state
@@ -628,7 +637,7 @@ class TestStepGeneration:
         )
         rows = [[0]] * 500 + [[1]] * 500
         state = make_state(config, rows)
-        next_state, _ = step_generation(state, config)
+        next_state, _ = stepped(config, state)
         perfect = sum(
             1 for member in next_state.population.members if member == (0,)
         )
@@ -747,10 +756,22 @@ class TestEvolve:
         yielded = list(evolve(config))
         assert [state.generation for state, _ in yielded] == list(range(9))
         for (state, _), (expected, expected_stats) in zip(yielded, yielded[1:]):
-            stepped, stats = step_generation(state, config)
-            assert stepped.population.members == expected.population.members
-            assert stepped.rng_state == expected.rng_state
+            resumed, stats = stepped(config, state)
+            assert resumed.population.members == expected.population.members
+            assert resumed.rng_state == expected.rng_state
             assert stats == expected_stats
+
+    @pytest.mark.parametrize("generation", [8, 9])
+    def test_a_start_at_or_past_the_last_generation_yields_nothing(self, generation):
+        state = make_state(self.config(), [[0, 1, 2]] * 12, generation)
+        assert list(evolve(self.config(), start=state)) == []
+
+    @pytest.mark.parametrize("rng_state", [(), None, (3, (1, 2), None)])
+    def test_a_start_whose_rng_state_random_refuses_names_it(self, rng_state):
+        population = make_population(self.config().alphabet, [[0, 1, 2]] * 12)
+        state = EvolutionState(0, population, rng_state)
+        with pytest.raises(ValueError, match="rng_state"):
+            stepped(self.config(), state)
 
     def test_each_step_scores_only_what_the_last_generation_did_not(
         self, monkeypatch
@@ -761,9 +782,9 @@ class TestEvolve:
             scored[-1].append(symbols)
             return original(symbols, gaps)
 
-        def step(state, config, **run):
+        def step(*args):
             scored.append([])
-            return original_step(state, config, **run)
+            return original_step(*args)
 
         original, original_step = evolution._score, evolution.step_generation
         monkeypatch.setattr(evolution, "_score", counting)
@@ -778,21 +799,6 @@ class TestEvolve:
             new = distinct[generation] - distinct[generation - 1]
             assert sorted(scored[generation + 1]) == sorted(new)
         assert any(scored[2:])
-
-    def test_each_step_is_handed_the_lengths_of_the_population_it_reads(
-        self, monkeypatch
-    ):
-        handed = []
-
-        def step(state, config, *, _run):
-            lengths = [len(member) for member in state.population.members]
-            handed.append(_run.lengths == lengths)
-            return original_step(state, config, _run=_run)
-
-        original_step = evolution.step_generation
-        monkeypatch.setattr(evolution, "step_generation", step)
-        list(evolve(self.config()))
-        assert handed == [True] * self.config().generations
 
     @pytest.mark.parametrize("discriminating, calls", [(False, 0), (True, 3)])
     def test_parsimony_runs_only_under_selection(
@@ -821,5 +827,5 @@ class TestEvolve:
             next(generations)
 
 
-def _raise_on_step(state, config, **_):
+def _raise_on_step(*_):
     raise RuntimeError("stepped")

@@ -15,6 +15,7 @@ from conftest import make_alphabet, make_population
 from evotropy import (
     MODES,
     EvolutionConfig,
+    EvolutionState,
     Population,
     RunConfig,
     build_evolution_config,
@@ -349,12 +350,16 @@ MEASURE_FIELDS = ("complexity", "efficiency")
 
 
 def assert_same_trajectory(config):
+    replayed = list(oracle.evolve_naive(config))
+    assert len(replayed) == config.generations + 1
+    assert_same_rows(list(evolve(config)), replayed)
+
+
+def assert_same_rows(evolved, replayed):
     # members, the RNG state and every stat but the measure's two floats
     # agree exactly; those agree to 1e-12, as the measure does with the
     # oracle's entropies
-    replayed = list(oracle.evolve_naive(config))
-    evolved = list(evolve(config))
-    assert len(evolved) == len(replayed) == config.generations + 1
+    assert len(evolved) == len(replayed)
     for (state, stats), (members, rng_state, expected) in zip(evolved, replayed):
         assert list(state.population.members) == members
         assert state.rng_state == rng_state
@@ -376,3 +381,15 @@ class TestLoopMatchesNaiveOracle:
         assert_same_trajectory(
             build_evolution_config(RunConfig(rng_seed=42, mode=mode))
         )
+
+    @settings(deadline=None)
+    @given(oracle_configs(), st.data())
+    def test_a_resumed_run_continues_the_trajectory(self, config, data):
+        # the start is rebuilt from the oracle's own row, so the resumed
+        # run has nothing of the first run but what a state stores
+        replayed = list(oracle.evolve_naive(config))
+        cut = data.draw(st.integers(min_value=0, max_value=config.generations))
+        members, rng_state, _ = replayed[cut]
+        population = Population(members, len(config.alphabet))
+        start = EvolutionState(cut, population, rng_state)
+        assert_same_rows(list(evolve(config, start=start)), replayed[cut + 1 :])

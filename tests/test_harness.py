@@ -862,9 +862,9 @@ class TestRunExperiment:
         step, mutate = evolution.step_generation, evolution.mutate
         making = []
 
-        def recording_step(state, config, **run):
+        def recording_step(state, *args):
             making.append(state.generation + 1)
-            return step(state, config, **run)
+            return step(state, *args)
 
         def failing_mutate(individual, alphabet, rng):
             if making[-1] == 3:

@@ -38,6 +38,7 @@ REMOVED = (
     "run",
     "sample_size",
     "site_distribution",
+    "step_generation",
     "target_population_size",
     "UserRequest",
     "validate_run_config",
