@@ -115,52 +115,52 @@ class EvolutionConfig(_Record):
             raise ValueError("agent must carry at least one attribute value")
         if not request:
             raise ValueError("request must name at least one attribute value")
-        check_settings(self, len(alphabet))
         object.__setattr__(self, "gaps", _gap_table(request, alphabet))
-        _check_smallest_weight(self)
+        check_settings(self, len(alphabet), self.gaps)
 
 
-def _longest_excess(generations: int) -> int:
-    """A bound on how far a member outgrows the mean length, in symbols.
+def _check_weight_floor(settings, gaps, longest: int) -> None:
+    """Reject settings under which a selection weight could leave the normal floats.
 
-    A member starts at most INITIAL_LENGTH_RANGE[1] long and gains one
-    symbol per generation at most, so every parsimony divisor is at most
-    1 + coefficient * this.
-    """
-    return INITIAL_LENGTH_RANGE[1] + generations
-
-
-def _check_smallest_weight(config: EvolutionConfig) -> None:
-    """Reject a config whose selection weights could leave the normal floats.
-
-    Every raw score is at least 1 / (1 + the largest gap-table row sum),
-    and every parsimony divisor is at most 1 + coefficient *
-    _longest_excess(generations).  Float rounding is monotone, so the
-    bound computed here is no larger than any weight the run computes;
-    a subnormal weight could round a roulette draw past the wheel.
+    Every raw score is at least 1 / (1 + the largest row sum of the gap
+    table `gaps`); with no rows, the most lenient world, every score can
+    be 1.  No member is longer than `longest` at generation 0 and each
+    gains one symbol per generation at most, so every parsimony divisor is
+    at most 1 + coefficient * (longest + generations).  Float rounding is
+    monotone, so the weight computed here is no larger than any the run
+    computes; a subnormal weight could round a roulette draw past the wheel.
     """
     try:
-        lowest_raw = 1.0 / (1.0 + max(map(sum, config.gaps)))
+        lowest_raw = 1.0 / (1.0 + max(map(sum, gaps), default=0))
     except OverflowError:
         raise ConfigError(
             "attribute_max - attribute_min is too wide: a fitness gap sum "
             "overflows a float"
         ) from None
-    coefficient = config.parsimony_coefficient
-    lowest = lowest_raw / (1.0 + coefficient * _longest_excess(config.generations))
+    bound = longest + settings.generations
+    try:
+        # the length penalty scales a float by the excess
+        excess = float(bound)
+    except OverflowError:
+        raise ConfigError("generations must convert to a finite float") from None
+    coefficient = settings.parsimony_coefficient
+    lowest = lowest_raw / (1.0 + coefficient * excess)
     if lowest < sys.float_info.min:
         raise ConfigError(
             f"parsimony_coefficient {coefficient} leaves a selection weight of "
-            f"{lowest!r} (raw fitness down to {lowest_raw!r}), below the smallest "
-            "normal float; lower it or narrow the attribute range"
+            f"{lowest!r} (raw fitness down to {lowest_raw!r}, members up to "
+            f"{_shown(bound, str)} symbols long), below the smallest normal "
+            "float; lower it"
         )
 
 
-def check_settings(settings, pool_size: int) -> None:
+def check_settings(settings, pool_size: int, gaps=()) -> None:
     """Reject run settings that break an invariant; messages name the key.
 
     The one rule set for the fields EvolutionConfig and harness.RunConfig
-    share; `pool_size` is the number of agents in the alphabet.
+    share; `pool_size` is the number of agents in the alphabet and `gaps`
+    the world's gap table, without which the selection-weight floor is
+    checked for the most lenient world: no world could run what it refuses.
     """
     if not 0 <= settings.rng_seed < 2**64:
         raise ConfigError("rng_seed must be a 64-bit unsigned integer")
@@ -178,18 +178,7 @@ def check_settings(settings, pool_size: int) -> None:
         raise ConfigError(
             f"parsimony_coefficient must be finite and >= 0, got {coefficient}"
         )
-    try:
-        # the length penalty scales a float by the excess
-        excess = float(_longest_excess(settings.generations))
-    except OverflowError:
-        raise ConfigError("generations must convert to a finite float") from None
-    # the penalty 1 + coefficient * excess stays finite whenever this does
-    if not math.isfinite(coefficient * excess):
-        raise ConfigError(
-            f"parsimony_coefficient {coefficient} is too large for "
-            f"{_shown(settings.generations, str)} generations: the length penalty "
-            "overflows"
-        )
+    _check_weight_floor(settings, gaps, INITIAL_LENGTH_RANGE[1])
     if settings.population_floor < pool_size:
         raise ConfigError(
             f"population_floor {_shown(settings.population_floor, str)} is "
@@ -509,7 +498,9 @@ def evolve(
     itself is not yielded again.  Then it yields (state, stats) after each
     step, up to generation config.generations.  Raises ValueError when
     the start's population is over another alphabet size than
-    config.alphabet has, or when random.Random refuses start.rng_state.
+    config.alphabet has, or when random.Random refuses start.rng_state,
+    and ConfigError naming parsimony_coefficient when a start member is
+    too long for the selection weights to stay normal floats.
     """
     size = len(config.alphabet)
     if start is None:
@@ -529,6 +520,10 @@ def evolve(
         # lie below its alphabet_size, or varied below the same size
         if start.population.alphabet_size != size:
             raise ValueError("the start's population is not over the config's alphabet")
+        # a hand-built start may hold members longer than the config's floor covers
+        longest = max(map(len, start.population.members)) - start.generation
+        if longest > INITIAL_LENGTH_RANGE[1]:
+            _check_weight_floor(config, config.gaps, longest)
         rng = random.Random()
         try:
             rng.setstate(start.rng_state)

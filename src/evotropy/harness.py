@@ -62,8 +62,8 @@ class RunConfig(_Record):
     defaults of the config format, those of the settings it shares with
     EvolutionConfig taken from there; rng_seed is the one required key.
     Construction raises ConfigError on every limit the scalars decide
-    alone.  The gap-sum and selection-weight limits need the generated
-    world, so build_evolution_config checks those.
+    alone, the weight floor of the most lenient world included; the gap-sum
+    limit and the floor of the drawn world wait for build_evolution_config.
     """
 
     rng_seed: int

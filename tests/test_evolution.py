@@ -773,6 +773,30 @@ class TestEvolve:
         with pytest.raises(ValueError, match="rng_state"):
             stepped(self.config(), state)
 
+    def long_start(self, **overrides):
+        # seven length-1 members and one far longer than any run grows
+        settings = dict(
+            request=(3, 5),
+            alphabet=make_alphabet(2, [(3,), (5,)]),
+            rng_seed=1,
+            generations=1,
+            population_floor=4,
+        )
+        config = EvolutionConfig(**{**settings, **overrides})
+        return config, make_state(config, [[0]] * 7 + [[0] * 1000])
+
+    def test_a_start_too_long_for_the_weight_floor_names_the_coefficient(self):
+        config, state = self.long_start(parsimony_coefficient=1e306)
+        yielded = []
+        with pytest.raises(ConfigError, match="^parsimony_coefficient "):
+            yielded.extend(evolve(config, start=state))
+        assert yielded == []
+
+    def test_a_long_start_under_a_small_coefficient_runs(self):
+        config, state = self.long_start(parsimony_coefficient=0.1, generations=3)
+        yielded = list(evolve(config, start=state))
+        assert [state.generation for state, _ in yielded] == [1, 2, 3]
+
     def test_each_step_scores_only_what_the_last_generation_did_not(
         self, monkeypatch
     ):

@@ -332,6 +332,30 @@ class TestBuildEvolutionConfig:
         with pytest.raises(ConfigError, match="attribute_max"):
             RunConfig(rng_seed=7, generations=2, attribute_max=10**400)
 
+    @pytest.mark.parametrize("coefficient", [1e305, 2e305, 1e306, 1e307, 1e308])
+    @pytest.mark.parametrize("generations", [0, 2, 300])
+    def test_run_config_refuses_what_the_most_lenient_world_refuses(
+        self, generations, coefficient
+    ):
+        settings = dict(
+            rng_seed=1,
+            generations=generations,
+            parsimony_coefficient=coefficient,
+            population_floor=2,
+        )
+
+        def refused(make, **world):
+            try:
+                make(**settings, **world)
+            except ConfigError as error:
+                assert "parsimony_coefficient" in str(error)
+                return True
+            return False
+
+        # every agent carries every requested value, so every raw score is 1
+        lenient = refused(EvolutionConfig, request=(3, 5), alphabet=((3, 5), (3, 5)))
+        assert refused(RunConfig, pool_size=2) == lenient
+
 
 def example_rows():
     return [

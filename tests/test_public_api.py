@@ -1,5 +1,6 @@
 """The package exports exactly the union of its modules' public lists,
-uses every function it exports, imports nothing outside the standard
+uses every function it exports, reads every private module-level name
+it defines, imports nothing outside the standard
 library nor any slow-to-import part of it, keeps its value types
 immutable, comparable and copyable, and runs the README's quick start
 as written."""
@@ -102,6 +103,45 @@ def test_every_exported_function_is_used_in_the_package():
         if inspect.isfunction(getattr(module, name)) and uses[name] < 1
     }
     assert unused <= UNCALLED
+
+
+def private_definitions(tree):
+    """The module-level functions, classes and constants of `tree` whose
+    names start with one underscore, as {name: defining node}."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        found.update(
+            (name, node)
+            for name in names
+            if name.startswith("_") and not name.startswith("__")
+        )
+    return found
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    uses = Counter()
+    private = set()
+    for path in sorted(Path(evotropy.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the private names a module binds: its own and those it imports
+        defined = private_definitions(tree)
+        private.update(defined)
+        bound = {name: name for name in defined}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                bound.update((a.asname or a.name, a.name) for a in node.names)
+        uses.update(loads(tree, bound))
+        for name, node in defined.items():
+            # a definition's own body, recursion included, does not use it
+            uses.subtract(read for read in loads(node, bound) if read == name)
+    assert {name for name in private if uses[name] < 1} == set()
 
 
 def test_runtime_imports_only_the_standard_library():
