@@ -61,12 +61,6 @@ def _real_number(value) -> float:
     return float(value)
 
 
-def _truth_value(value) -> bool:
-    if value is True or value is False:
-        return value
-    raise TypeError
-
-
 def _text(value) -> str:
     if isinstance(value, str):
         return str(value)
@@ -78,15 +72,14 @@ def _text(value) -> str:
 _KINDS = {
     "int": (index, int, "an integer"),
     "float": (_real_number, float, "a real number"),
-    "bool": (_truth_value, None, "True or False"),
     "str": (_text, str, "text"),
 }
 
 
 def _settle(name: str, kind: str, value):
     """`value` in the one form of its field's kind: an int as operator.index
-    gives it (True as 1), a real number as a float, a bool only as True or
-    False, text as a str.  Raises ConfigError naming the field otherwise."""
+    gives it (True as 1), a real number as a float, text as a str.  Raises
+    ConfigError naming the field otherwise."""
     form, _, expected = _KINDS[kind]
     try:
         return form(value)
@@ -101,7 +94,7 @@ class _Record:
 
     Each subclass gets a constructor that takes its fields in that order,
     with the defaults its class body gives them, stores them, each int,
-    float, bool and str field through _settle, and calls _post_init to
+    float and str field through _settle, and calls _post_init to
     normalise and check the rest.  Equality, hashing and repr go
     by the fields alone; assigning or deleting an attribute afterwards
     raises AttributeError.  Pickling and copying restore the attributes
@@ -119,7 +112,7 @@ class _Record:
             f"{name}=cls.{name}" if name in cls.__dict__ else name
             for name in cls._fields
         )
-        # an int, float, bool or str field is stored in its kind's one form
+        # an int, float or str field is stored in its kind's one form
         body = "".join(
             f"\n    store(self, {name!r}, settle({name!r}, {kind!r}, {name}))"
             if kind in _KINDS

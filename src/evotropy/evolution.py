@@ -23,6 +23,7 @@ from .core import ConfigError, Population, _Record, _shown
 
 __all__ = [
     "INITIAL_LENGTH_RANGE",
+    "MODES",
     "EvolutionConfig",
     "EvolutionState",
     "GenerationStats",
@@ -39,6 +40,9 @@ __all__ = [
 
 # freshly seeded members get lengths drawn uniformly from this range
 INITIAL_LENGTH_RANGE = (1, 5)
+
+# fitness-proportional selection, and its control of flat weights
+MODES = ("discriminating", "nondiscriminating")
 
 _MUTATION_KINDS = ("insert", "replace", "delete")
 
@@ -79,9 +83,10 @@ class EvolutionConfig(_Record):
     values asked for.  The constructor turns any rows of integers into
     those tuples of ints, as operator.index takes them.
 
-    `discriminating` switches between fitness-proportional survival and
-    an equal-probability baseline; nothing else in the pipeline changes,
-    so the two modes isolate exactly the effect of selection pressure.
+    `mode`, one of MODES, switches between fitness-proportional survival
+    and an equal-probability baseline; nothing else in the pipeline
+    changes, so the two modes isolate exactly the effect of selection
+    pressure.
     `gaps`, the fitness gap table of the run, is built with the config;
     derived from the fields, it is not one of them, so it stays out of
     equality, hashing and repr, while pickling and copying carry it over
@@ -96,7 +101,7 @@ class EvolutionConfig(_Record):
     parsimony_coefficient: float = 0.1
     population_floor: int = 160
     generations: int = 300
-    discriminating: bool = True
+    mode: str = "discriminating"
 
     def _post_init(self) -> None:
         try:
@@ -129,6 +134,9 @@ def _check_weight_floor(settings, gaps, longest: int) -> None:
     at most 1 + coefficient * (longest + generations).  Float rounding is
     monotone, so the weight computed here is no larger than any the run
     computes; a subnormal weight could round a roulette draw past the wheel.
+    The floor binds under selection only: the nondiscriminating baseline
+    weighs every member 1.0.  The gap sums and the length bound hold in
+    both modes, since raw fitness and lengths are computed for the stats.
     """
     try:
         lowest_raw = 1.0 / (1.0 + max(map(sum, gaps), default=0))
@@ -145,7 +153,7 @@ def _check_weight_floor(settings, gaps, longest: int) -> None:
         raise ConfigError("generations must convert to a finite float") from None
     coefficient = settings.parsimony_coefficient
     lowest = lowest_raw / (1.0 + coefficient * excess)
-    if lowest < sys.float_info.min:
+    if settings.mode == "discriminating" and lowest < sys.float_info.min:
         raise ConfigError(
             f"parsimony_coefficient {coefficient} leaves a selection weight of "
             f"{lowest!r} (raw fitness down to {lowest_raw!r}, members up to "
@@ -158,10 +166,15 @@ def check_settings(settings, pool_size: int, gaps=()) -> None:
     """Reject run settings that break an invariant; messages name the key.
 
     The one rule set for the fields EvolutionConfig and harness.RunConfig
-    share; `pool_size` is the number of agents in the alphabet and `gaps`
-    the world's gap table, without which the selection-weight floor is
-    checked for the most lenient world: no world could run what it refuses.
+    share, `mode` among them; `pool_size` is the number of agents in the
+    alphabet and `gaps` the world's gap table, without which the
+    selection-weight floor is checked for the most lenient world: no
+    world could run what it refuses.
     """
+    if settings.mode not in MODES:
+        raise ConfigError(
+            f"mode must be one of {', '.join(MODES)}; got {_shown(settings.mode)}"
+        )
     if not 0 <= settings.rng_seed < 2**64:
         raise ConfigError("rng_seed must be a 64-bit unsigned integer")
     if settings.generations < 0:
@@ -429,12 +442,12 @@ def step_generation(
     """Advance one generation: evaluate, select, recombine, mutate, measure.
 
     The order is fixed: raw fitness for everyone, parsimony adjustment
-    against the current mean length (when discriminating; the baseline
-    weighs everyone alike), roulette selection to the dynamic
-    target size, one-point crossover on a random even-sized slice of the
-    survivors, single point mutations on a random slice of the result
-    (crossover children included), then the complexity report of the new
-    population.  The returned stats carry the raw fitness of the
+    against the current mean length (in the discriminating mode; the
+    nondiscriminating baseline weighs everyone alike), roulette selection
+    to the dynamic target size, one-point crossover on a random even-sized
+    slice of the survivors, single point mutations on a random slice of the
+    result (crossover children included), then the complexity report of
+    the new population.  The returned stats carry the raw fitness of the
     evaluated parents together with the shape of the population they
     produced.
 
@@ -450,7 +463,7 @@ def step_generation(
 
     raw, scores = _scores(members, config.gaps, known)
     mean_length = _mean(lengths)
-    if config.discriminating:
+    if config.mode == "discriminating":
         weights = parsimony_adjusted_fitness(
             raw, lengths, mean_length, config.parsimony_coefficient
         )

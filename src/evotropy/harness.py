@@ -27,7 +27,6 @@ from .evolution import (
 )
 
 __all__ = [
-    "MODES",
     "STATS_HEADER",
     "RunConfig",
     "parse_config",
@@ -42,8 +41,6 @@ __all__ = [
     "read_population_file",
     "run_experiment",
 ]
-
-MODES = ("discriminating", "nondiscriminating")
 
 STATS_HEADER = ",".join(GenerationStats.__annotations__)
 
@@ -60,14 +57,15 @@ class RunConfig(_Record):
     rng_seed together with the pool/request shape keys, so the config
     file stays a flat list of scalars.  Defaults below are the documented
     defaults of the config format, those of the settings it shares with
-    EvolutionConfig taken from there; rng_seed is the one required key.
+    EvolutionConfig, mode among them, taken from there and checked by its
+    rules; rng_seed is the one required key.
     Construction raises ConfigError on every limit the scalars decide
     alone, the weight floor of the most lenient world included; the gap-sum
     limit and the floor of the drawn world wait for build_evolution_config.
     """
 
     rng_seed: int
-    mode: str = "discriminating"
+    mode: str = EvolutionConfig.mode
     generations: int = EvolutionConfig.generations
     crossover_fraction: float = EvolutionConfig.crossover_fraction
     mutation_fraction: float = EvolutionConfig.mutation_fraction
@@ -82,10 +80,6 @@ class RunConfig(_Record):
     output_dir: str = "out"
 
     def _post_init(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(
-                f"mode must be one of {', '.join(MODES)}; got {_shown(self.mode)}"
-            )
         if self.pool_size < 2:
             raise ConfigError(
                 "pool_size must be at least 2: site entropies need an alphabet of two"
@@ -206,7 +200,6 @@ def build_evolution_config(config: RunConfig) -> EvolutionConfig:
     return EvolutionConfig(
         request=request,
         alphabet=alphabet,
-        discriminating=config.mode == "discriminating",
         **{name: getattr(config, name) for name in _SHARED},
     )
 

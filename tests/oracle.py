@@ -191,7 +191,7 @@ def evolve_naive(config):
         mean_length = _mean(lengths)
         weights = []
         for score, length in zip(raw, lengths):
-            if config.discriminating:
+            if config.mode == "discriminating":
                 coefficient = config.parsimony_coefficient
                 weights.append(parsimony(score, length, mean_length, coefficient))
             else:

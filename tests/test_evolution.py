@@ -366,7 +366,7 @@ class TestConfigAndState:
         assert config.parsimony_coefficient == 0.1
         assert config.population_floor == 160
         assert config.generations == 300
-        assert config.discriminating is True
+        assert config.mode == "discriminating"
 
     @pytest.mark.parametrize(
         "overrides,key",
@@ -374,8 +374,8 @@ class TestConfigAndState:
             (dict(rng_seed=1.0), "rng_seed"),
             (dict(generations=2.5), "generations"),
             (dict(crossover_fraction="0.1"), "crossover_fraction"),
-            (dict(discriminating="False"), "discriminating"),
-            (dict(discriminating=0), "discriminating"),
+            (dict(mode=False), "mode"),
+            (dict(mode=0), "mode"),
         ],
     )
     def test_a_value_of_another_kind_names_its_key(self, overrides, key):
@@ -413,6 +413,29 @@ class TestConfigAndState:
         alphabet = make_alphabet(2, [(0,), (10**308,)])
         with pytest.raises(ConfigError, match="attribute_max"):
             self.config(alphabet=alphabet, request=(10**308,) * 2)
+
+    def test_the_weight_floor_binds_only_under_selection(self):
+        # the raw scores still go to the stats, so the gap-sum limit holds
+        # in both modes; the coefficient only weighs the roulette
+        def yielded(coefficient):
+            return list(
+                evolve(
+                    self.config(
+                        mode="nondiscriminating",
+                        parsimony_coefficient=coefficient,
+                        generations=20,
+                    )
+                )
+            )
+
+        assert yielded(1e308) == yielded(0.1)
+        with pytest.raises(ConfigError, match="^parsimony_coefficient "):
+            self.config(parsimony_coefficient=1e308, generations=20)
+        alphabet = make_alphabet(2, [(0,), (10**308,)])
+        with pytest.raises(ConfigError, match="attribute_max"):
+            self.config(
+                alphabet=alphabet, request=(10**308,) * 2, mode="nondiscriminating"
+            )
 
     def test_gap_table_is_kept_out_of_eq_hash_repr(self):
         config = self.config()
@@ -615,7 +638,7 @@ class TestStepGeneration:
             crossover_fraction=0.25,
             mutation_fraction=0.25,
             rng_seed=10,
-            discriminating=False,
+            mode="nondiscriminating",
         )
         rows = [[0, 1]] * 8
         state_disc, stats_disc = stepped(base, make_state(base, rows))
@@ -633,7 +656,7 @@ class TestStepGeneration:
             crossover_fraction=0.0,
             mutation_fraction=0.0,
             population_floor=1000,
-            discriminating=False,
+            mode="nondiscriminating",
         )
         rows = [[0]] * 500 + [[1]] * 500
         state = make_state(config, rows)
@@ -792,6 +815,18 @@ class TestEvolve:
             yielded.extend(evolve(config, start=state))
         assert yielded == []
 
+    def test_a_long_start_without_selection_runs_under_any_coefficient(self):
+        def yielded(coefficient):
+            config, state = self.long_start(
+                mode="nondiscriminating",
+                parsimony_coefficient=coefficient,
+                generations=3,
+            )
+            return list(evolve(config, start=state))
+
+        assert yielded(1e308) == yielded(0.1)
+        assert [state.generation for state, _ in yielded(1e308)] == [1, 2, 3]
+
     def test_a_long_start_under_a_small_coefficient_runs(self):
         config, state = self.long_start(parsimony_coefficient=0.1, generations=3)
         yielded = list(evolve(config, start=state))
@@ -824,10 +859,10 @@ class TestEvolve:
             assert sorted(scored[generation + 1]) == sorted(new)
         assert any(scored[2:])
 
-    @pytest.mark.parametrize("discriminating, calls", [(False, 0), (True, 3)])
-    def test_parsimony_runs_only_under_selection(
-        self, monkeypatch, discriminating, calls
-    ):
+    @pytest.mark.parametrize(
+        "mode, calls", [("nondiscriminating", 0), ("discriminating", 3)]
+    )
+    def test_parsimony_runs_only_under_selection(self, monkeypatch, mode, calls):
         # the nondiscriminating baseline weighs every member alike, so it
         # has no use for the penalised scores
         counted = []
@@ -838,7 +873,7 @@ class TestEvolve:
 
         original = evolution.parsimony_adjusted_fitness
         monkeypatch.setattr(evolution, "parsimony_adjusted_fitness", counting)
-        config = self.config(discriminating=discriminating, generations=3)
+        config = self.config(mode=mode, generations=3)
         list(evolve(config))
         assert len(counted) == calls
 

@@ -264,7 +264,7 @@ def small_configs(draw):
         mutation_fraction=draw(fraction),
         population_floor=draw(st.integers(min_value=pool_size, max_value=12)),
         generations=draw(st.integers(min_value=1, max_value=4)),
-        discriminating=draw(st.booleans()),
+        mode=draw(st.sampled_from(MODES)),
     )
 
 
@@ -342,7 +342,7 @@ def oracle_configs(draw):
         parsimony_coefficient=draw(st.sampled_from((0.0, 0.1, 0.5, 2.0))),
         population_floor=draw(floor),
         generations=draw(st.integers(min_value=0, max_value=12)),
-        discriminating=draw(st.booleans()),
+        mode=draw(st.sampled_from(MODES)),
     )
 
 

@@ -207,6 +207,10 @@ class TestValidation:
             (dict(crossover_fraction="0.1"), "^crossover_fraction expects a real"),
             (dict(parsimony_coefficient=10**400), "^parsimony_coefficient expects"),
             (dict(generations=10**400), "^generations must convert to a finite float"),
+            (
+                dict(mode="nondiscriminating", generations=10**400),
+                "^generations must convert to a finite float",
+            ),
             (dict(output_dir=Path("x")), "^output_dir expects text"),
         ],
     )
@@ -226,6 +230,32 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{key} ") as excinfo:
             self.base(**overrides)
         assert f"an integer of more than {DIGIT_LIMIT} digits" in str(excinfo.value)
+
+    def test_both_records_refuse_a_mode_by_one_rule(self):
+        with pytest.raises(ConfigError) as run_error:
+            self.base(mode="magic")
+        with pytest.raises(ConfigError) as world_error:
+            EvolutionConfig(
+                request=(3,), alphabet=((3,), (5,)), rng_seed=1, mode="magic"
+            )
+        assert str(run_error.value) == str(world_error.value) == (
+            "mode must be one of discriminating, nondiscriminating; got 'magic'"
+        )
+
+    def test_the_weight_floor_binds_only_under_selection(self):
+        # the nondiscriminating baseline weighs every member 1.0, so the
+        # coefficient changes nothing a run yields
+        def rows(coefficient):
+            run_config = self.base(
+                mode="nondiscriminating",
+                parsimony_coefficient=coefficient,
+                generations=20,
+            )
+            return [stats for _, stats in evolve(build_evolution_config(run_config))]
+
+        assert rows(1e308) == rows(0.1)
+        with pytest.raises(ConfigError, match="^parsimony_coefficient "):
+            self.base(parsimony_coefficient=1e308, generations=20)
 
     def test_equal_settings_are_stored_alike(self):
         config = self.base(rng_seed=True, generations=True, crossover_fraction=0)
@@ -272,6 +302,7 @@ class TestBuildEvolutionConfig:
     def test_scalar_settings_carry_over(self):
         run_config = RunConfig(
             rng_seed=3,
+            mode="nondiscriminating",
             crossover_fraction=0.2,
             mutation_fraction=0.3,
             parsimony_coefficient=0.05,
@@ -286,11 +317,6 @@ class TestBuildEvolutionConfig:
             # a default value would hide a setting the builder dropped
             assert getattr(run_config, name) != defaults[name], name
             assert getattr(config, name) == getattr(run_config, name), name
-        assert config.discriminating is True
-
-    def test_mode_maps_to_discriminating_flag(self):
-        flat = build_evolution_config(RunConfig(rng_seed=3, mode="nondiscriminating"))
-        assert flat.discriminating is False
 
     def test_modes_share_alphabet_and_request_for_a_seed(self):
         base = build_evolution_config(RunConfig(rng_seed=11))
