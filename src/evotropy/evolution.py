@@ -15,8 +15,9 @@ import random
 import sys
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
+from functools import reduce
 from itertools import accumulate
-from operator import index, truediv
+from operator import index, or_, truediv
 
 from .complexity import physical_complexity_variable
 from .core import ConfigError, Population, _Record, _shown
@@ -87,10 +88,10 @@ class EvolutionConfig(_Record):
     and an equal-probability baseline; nothing else in the pipeline
     changes, so the two modes isolate exactly the effect of selection
     pressure.
-    `gaps`, the fitness gap table of the run, is built with the config;
-    derived from the fields, it is not one of them, so it stays out of
-    equality, hashing and repr, while pickling and copying carry it over
-    as stored.
+    `gaps`, the fitness gap table of the run, and `codes`, each agent's
+    coverage code read from it, are built with the config; derived from
+    the fields, they are not among them, so they stay out of equality,
+    hashing and repr, while pickling and copying carry them over as stored.
     """
 
     request: tuple[int, ...]
@@ -121,6 +122,7 @@ class EvolutionConfig(_Record):
         if not request:
             raise ValueError("request must name at least one attribute value")
         object.__setattr__(self, "gaps", _gap_table(request, alphabet))
+        object.__setattr__(self, "codes", _coverage_codes(self.gaps))
         check_settings(self, len(alphabet), self.gaps)
 
 
@@ -264,21 +266,47 @@ def _score(symbols: tuple[int, ...], gaps: list[list[int]]) -> float:
     return 1.0 / (1.0 + sum(map(min, rows[0], *rows)))
 
 
+def _coverage_codes(gaps: list[list[int]]) -> list[int]:
+    """Each agent's coverage code, one int read from the gap table.
+
+    Column j of the table gets a block of bits, one per distinct gap in
+    it, in rising order; an agent sets its block's bits from its own gap's
+    up.  So the OR of a member's agent codes fixes the smallest gap in each
+    column, all that _score reads: equal codes give the same score, bit
+    for bit.  A code has at most len(request) * pool size bits.
+    """
+    codes, shift = [0] * len(gaps), 0
+    for column in zip(*gaps):
+        ranks = {gap: rank for rank, gap in enumerate(sorted(set(column)))}
+        for agent, gap in enumerate(column):
+            codes[agent] |= ((1 << len(ranks)) - (1 << ranks[gap])) << shift
+        shift += len(ranks)
+    return codes
+
+
 def _scores(
     members: Sequence[tuple[int, ...]],
-    gaps: list[list[int]],
-    known: dict[tuple[int, ...], float],
-) -> tuple[list[float], dict[tuple[int, ...], float]]:
-    """Fitness of every member, and the {symbols: score} table read from.
+    config: EvolutionConfig,
+    known: dict,
+) -> tuple[list[float], dict]:
+    """Fitness of every member, and the table read from.
 
-    Each distinct symbol run is scored once, and not at all when `known`
-    (the previous generation's table) already holds it.
+    `known` is the previous generation's table: the score of each distinct
+    member and of each coverage code it looked up.  A member not in it
+    gets the OR of its agents' codes, and _score runs only for a code
+    neither table holds.  The table returned holds this generation alone.
     """
-    scores = dict.fromkeys(members)
-    for symbols in scores:
+    codes, table = config.codes, {}
+    for symbols in dict.fromkeys(members):
         score = known.get(symbols)
-        scores[symbols] = _score(symbols, gaps) if score is None else score
-    return list(map(scores.__getitem__, members)), scores
+        if score is None:
+            code = reduce(or_, map(codes.__getitem__, symbols))
+            # scores are positive, so a miss is the only false value
+            table[code] = score = (
+                table.get(code) or known.get(code) or _score(symbols, config.gaps)
+            )
+        table[symbols] = score
+    return list(map(table.__getitem__, members)), table
 
 
 def fitness(
@@ -437,8 +465,8 @@ def step_generation(
     state: EvolutionState,
     config: EvolutionConfig,
     rng: random.Random,
-    known: dict[tuple[int, ...], float],
-) -> tuple[EvolutionState, GenerationStats, dict[tuple[int, ...], float]]:
+    known: dict,
+) -> tuple[EvolutionState, GenerationStats, dict]:
     """Advance one generation: evaluate, select, recombine, mutate, measure.
 
     The order is fixed: raw fitness for everyone, parsimony adjustment
@@ -451,17 +479,18 @@ def step_generation(
     evaluated parents together with the shape of the population they
     produced.
 
-    `rng` is the run's live Random and `known` the {symbols: raw
-    fitness} table of the previous generation; the step returns the
-    table of the population it scored, for the next step.  evolve, the
-    one caller, checks the state's population against config.alphabet.
+    `rng` is the run's live Random and `known` the table of the previous
+    generation, the raw fitness of each distinct member and of each
+    coverage code it scored by (see _scores); the step returns the table
+    of the population it scored, for the next step.  evolve, the one caller,
+    checks the state's population against config.alphabet.
     """
     alphabet = config.alphabet
     size = len(alphabet)
     members = state.population.members
     lengths = list(map(len, members))
 
-    raw, scores = _scores(members, config.gaps, known)
+    raw, scores = _scores(members, config, known)
     mean_length = _mean(lengths)
     if config.mode == "discriminating":
         weights = parsimony_adjusted_fitness(
@@ -525,7 +554,7 @@ def evolve(
             members.append(tuple(rand_below(rng, size) for _ in range(length)))
         population = Population(tuple(members), size)
         state = EvolutionState(0, population, rng.getstate())
-        raw, scores = _scores(members, config.gaps, {})
+        raw, scores = _scores(members, config, {})
         yield state, _stats_for(0, raw, population)
     else:
         # each step builds its population unchecked: it holds at least

@@ -103,6 +103,9 @@ class RunConfig(_Record):
             ) from None
         if self.snapshot_every < 0:
             raise ConfigError("snapshot_every must be >= 0")
+        if not self.output_dir:
+            # Path("") is the working directory, whose artifacts a run clears
+            raise ConfigError("output_dir must not be empty")
         if "\0" in self.output_dir:
             # no file system takes it, and os calls raise a bare ValueError
             raise ConfigError("output_dir must not contain a NUL character")

@@ -165,6 +165,24 @@ class TestRunCommand:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "output_dir" in err
 
+    def test_an_empty_output_dir_flag_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # an empty path is the working directory, whose artifacts a run clears
+        config = write(tmp_path, "run.cfg", GOOD_CONFIG)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "snap_5.txt").write_text("kept\n")
+        code = main(["run", "--config", str(config), "--output-dir", ""])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: output_dir must not be empty\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "run.cfg",
+            "snap_5.txt",
+        ]
+        assert (tmp_path / "snap_5.txt").read_text() == "kept\n"
+
     @needs_digit_limit
     def test_a_seed_beyond_the_digit_limit_is_one_short_line(self, tmp_path, capsys):
         config = write(tmp_path, "run.cfg", f"rng_seed = {TOO_LONG}\n")

@@ -4,6 +4,8 @@ import pickle
 import random
 import sys
 from collections import Counter
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -441,12 +443,14 @@ class TestConfigAndState:
         config = self.config()
         assert config.gaps == [[0, 2], [2, 0]]
         assert config == self.config() and hash(config) == hash(self.config())
-        assert "gaps" not in repr(config)
+        assert "gaps" not in repr(config) and "codes" not in repr(config)
 
     def test_gap_table_survives_pickle_and_copy(self):
         config = self.config()
         for twin in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
             assert twin.gaps == config.gaps == [[0, 2], [2, 0]]
+            # one block per request value, ranks 0 and 1: bits 0b11 and 0b10
+            assert twin.codes == config.codes == [0b1011, 0b1110]
 
     def test_rejects_floor_below_alphabet_size(self):
         with pytest.raises(ValueError):
@@ -832,32 +836,48 @@ class TestEvolve:
         yielded = list(evolve(config, start=state))
         assert [state.generation for state, _ in yielded] == [1, 2, 3]
 
-    def test_each_step_scores_only_what_the_last_generation_did_not(
-        self, monkeypatch
-    ):
-        scored = []
+    def test_each_step_scores_each_new_code_once(self, monkeypatch):
+        # agent 3 covers what agents 0 and 2 cover together, so members
+        # over different agents share a coverage code
+        config = self.config(alphabet=make_alphabet(4, [(3,), (5,), (7,), (3, 7)]))
+        steps = []  # (the table a step was handed, the codes it scored)
+
+        def code(symbols):
+            return reduce(or_, map(config.codes.__getitem__, symbols))
 
         def counting(symbols, gaps):
-            scored[-1].append(symbols)
+            steps[-1][1].append(code(symbols))
             return original(symbols, gaps)
 
-        def step(*args):
-            scored.append([])
-            return original_step(*args)
+        def step(state, config, rng, known):
+            steps.append((known, []))
+            return original_step(state, config, rng, known)
 
         original, original_step = evolution._score, evolution.step_generation
         monkeypatch.setattr(evolution, "_score", counting)
         monkeypatch.setattr(evolution, "step_generation", step)
-        scored.append([])
-        populations = [state.population for state, _ in evolve(self.config())]
-        distinct = [set(population.members) for population in populations]
-        # seeding scores generation 0, so its step finds every score kept
-        assert sorted(scored[0]) == sorted(distinct[0])
-        assert scored[1] == []
-        for generation in range(1, len(populations) - 1):
-            new = distinct[generation] - distinct[generation - 1]
-            assert sorted(scored[generation + 1]) == sorted(new)
-        assert any(scored[2:])
+        steps.append(({}, []))
+        populations = [state.population for state, _ in evolve(config)]
+        # seeding scores generation 0 and each step the generation before it
+        scored_populations = populations[:1] + populations[:-1]
+        for (known, scored), population in zip(steps, scored_populations):
+            assert len(scored) == len(set(scored))
+            new = {
+                code(symbols)
+                for symbols in population.members
+                if symbols not in known and code(symbols) not in known
+            }
+            assert set(scored) == new
+        # each step hands on the table of the population it scored alone
+        for (known, _), previous in zip(steps[1:], scored_populations):
+            members = {key for key in known if isinstance(key, tuple)}
+            assert members == set(previous.members)
+        # seeding leaves the first step nothing to score
+        assert steps[1][1] == [] and any(scored for _, scored in steps[2:])
+        # some member is scored by the code of another
+        assert sum(len(scored) for _, scored in steps) < sum(
+            len(set(population.members)) for population in populations[:-1]
+        )
 
     @pytest.mark.parametrize(
         "mode, calls", [("nondiscriminating", 0), ("discriminating", 3)]

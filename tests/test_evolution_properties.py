@@ -4,6 +4,8 @@ import math
 import random
 import sys
 from collections import Counter
+from functools import reduce
+from operator import or_
 from statistics import fmean
 
 import pytest
@@ -20,6 +22,7 @@ from evotropy import (
     RunConfig,
     build_evolution_config,
     crossover_pair,
+    evolution,
     evolve,
     fitness,
     mutate,
@@ -210,6 +213,65 @@ class TestFitnessMatchesPooledFormula:
         ]
         assert stats.max_fitness == max(expected)
         assert stats.mean_fitness == fmean(expected)
+
+
+huge = st.integers(min_value=-(10**30), max_value=10**30)
+
+
+@st.composite
+def coded_worlds(draw):
+    """A config whose agents and request draw on a few huge values, so
+    that gaps tie, and members over its agents, each single agent first."""
+    palette = st.sampled_from(draw(st.lists(huge, min_size=1, max_size=4)))
+    pools = draw(
+        st.lists(st.lists(palette, min_size=1, max_size=3), min_size=2, max_size=6)
+    )
+    request = draw(st.lists(palette | huge, min_size=1, max_size=5))
+    config = EvolutionConfig(request=request, alphabet=pools, rng_seed=0)
+    symbols = st.integers(min_value=0, max_value=len(pools) - 1)
+    drawn = draw(st.lists(st.lists(symbols, min_size=1, max_size=6), max_size=12))
+    return config, [(agent,) for agent in range(len(pools))] + list(map(tuple, drawn))
+
+
+def code_of(config, agents):
+    return reduce(or_, map(config.codes.__getitem__, agents))
+
+
+class TestCoverageCodes:
+    @given(coded_worlds())
+    def test_equal_codes_mean_equal_profiles_and_scores(self, world):
+        config, members = world
+        profiles, scores = {}, {}
+        for symbols in members:
+            code = code_of(config, symbols)
+            # the closest gap to each request value over the member's agents
+            rows = [config.gaps[agent] for agent in symbols]
+            profile = tuple(map(min, rows[0], *rows))
+            assert profiles.setdefault(code, profile) == profile
+            score = evolution._score(symbols, config.gaps)
+            assert scores.setdefault(code, score) == score
+        assert len(set(profiles.values())) == len(profiles)
+
+    @given(coded_worlds(), st.data())
+    def test_a_code_is_that_of_the_distinct_agents_in_any_order(self, world, data):
+        config, members = world
+        for symbols in members:
+            agents = data.draw(st.permutations(sorted(set(symbols))))
+            assert code_of(config, agents) == code_of(config, symbols)
+
+    @given(coded_worlds(), st.data())
+    def test_scores_are_the_fitness_of_every_member(self, world, data):
+        config, members = world
+        expected = [
+            fitness(symbols, config.request, config.alphabet) for symbols in members
+        ]
+        raw, _ = evolution._scores(members, config, {})
+        assert raw == expected
+        # against the table of a generation that held only some of them
+        earlier = data.draw(st.lists(st.sampled_from(members), max_size=len(members)))
+        _, known = evolution._scores(earlier, config, {})
+        raw, _ = evolution._scores(members, config, known)
+        assert raw == expected
 
 
 class TestFitnessInvariants:

@@ -212,6 +212,7 @@ class TestValidation:
                 "^generations must convert to a finite float",
             ),
             (dict(output_dir=Path("x")), "^output_dir expects text"),
+            (dict(output_dir=""), "^output_dir must not be empty"),
         ],
     )
     def test_each_rule_names_its_key(self, overrides, fragment):

@@ -3,10 +3,11 @@
 The benchmark pins the SHA-256 of stdout and of every artifact for each
 of its cases (`benchmarks/digests.json`).  These tests generate the same
 inputs with `benchmarks/workloads.py` and run them through `cli.main` in
-this process: the five full-size `paper-default` runs (the ablation
-seeds, whose `stats.csv` must never move), the five `analyze-large`
-files at full and at toy size, and the toy `control-wide` cases.
-Neither benchmark file is modified.
+this process: the five runs of each evolution workload, `paper-default`
+(the ablation seeds, whose `stats.csv` must never move) and
+`control-wide`, at full size, the toy `control-wide` cases, and the five
+`analyze-large` files at full and at toy size.  Neither benchmark file
+is modified.
 
 The module needs only the standard library, so it also runs as a plain
 script on an interpreter without pytest:
@@ -49,6 +50,7 @@ CASES = [
     (name, size, key)
     for name, size in (
         ("paper-default", "full"),
+        ("control-wide", "full"),
         ("control-wide", "toy"),
         ("analyze-large", "full"),
         ("analyze-large", "toy"),
