@@ -149,14 +149,6 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _is_agent_id(symbol, size: int) -> bool:
-    """An integer (as operator.index takes it) in 0 .. size - 1."""
-    try:
-        return 0 <= index(symbol) < size
-    except TypeError:
-        return False
-
-
 class Population(_Record):
     """A non-empty multiset of agent sequences over alphabet_size agents.
 
@@ -181,23 +173,14 @@ class Population(_Record):
             raise ValueError("population needs at least one member")
         if not all(members):
             raise ValueError("agent sequence must be non-empty")
-        # one C-speed pass collects the distinct symbols as integers (a set of
-        # the symbols themselves would let 1.0 hide behind an equal 1); only
-        # failing members are walked, so the message names the first bad one
-        try:
-            distinct = set(map(index, chain.from_iterable(members)))
-            valid = min(distinct) >= 0 and max(distinct) < size
-        except TypeError:
-            valid = False
-        if not valid:
-            bad = next(
-                symbol
-                for member in members
-                for symbol in member
-                if not _is_agent_id(symbol, size)
-            )
+        for symbol in chain.from_iterable(members):
+            try:
+                if 0 <= index(symbol) < size:
+                    continue
+            except TypeError:
+                pass
             raise ValueError(
-                f"symbol {_shown(bad, str)} is not a valid agent id for an "
+                f"symbol {_shown(symbol, str)} is not a valid agent id for an "
                 f"alphabet of size {size}"
             )
 

@@ -507,12 +507,11 @@ def step_generation(
 
     paired = int(config.crossover_fraction * len(survivors))
     paired -= paired % 2
-    if paired >= 2:
-        picks = sample_indices(rng, len(survivors), paired)
-        for first, second in zip(picks[::2], picks[1::2]):
-            survivors[first], survivors[second] = crossover_pair(
-                survivors[first], survivors[second], rng
-            )
+    picks = sample_indices(rng, len(survivors), paired)
+    for first, second in zip(picks[::2], picks[1::2]):
+        survivors[first], survivors[second] = crossover_pair(
+            survivors[first], survivors[second], rng
+        )
 
     mutated = int(config.mutation_fraction * len(survivors))
     for index in sample_indices(rng, len(survivors), mutated):

@@ -116,6 +116,10 @@ class TestPopulation:
         with pytest.raises(ValueError, match=r"^symbol 5 is not a valid agent id"):
             make_population(alphabet2, [[0, 1], [1, 5, -1], [-3]])
 
+    def test_error_names_an_out_of_range_symbol_before_a_later_non_integer(self):
+        with pytest.raises(ValueError, match=r"^symbol 5 is not a valid agent id"):
+            Population([(0, 5), (0.5,)], 2)
+
     def test_rejects_an_empty_population(self, alphabet2):
         message = "^population needs at least one member$"
         with pytest.raises(ValueError, match=message):

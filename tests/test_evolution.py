@@ -493,6 +493,19 @@ class TestConfigAndState:
                 efficiency=0.5,
             )
 
+    def test_stats_reject_an_empty_population(self):
+        with pytest.raises(ValueError, match="^population_size must be >= 1$"):
+            GenerationStats(
+                generation=0,
+                max_fitness=0.6,
+                mean_fitness=0.6,
+                mean_length=2.0,
+                population_size=0,
+                calculable_length=1,
+                complexity=0.5,
+                efficiency=0.5,
+            )
+
 
 def make_state(config, rows, generation=0):
     population = make_population(config.alphabet, rows)

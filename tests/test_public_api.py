@@ -251,7 +251,10 @@ def test_value_types_copy_compare_and_stay_frozen(name):
         assert type(twin) is type(value)
         assert twin == value
         assert hash(twin) == hash(value)
-    field = next(iter(inspect.signature(type(value)).parameters))
+    fields = list(inspect.signature(type(value)).parameters)
+    # a record equals only a record of its own type, not even its field values
+    assert value != tuple(getattr(value, name) for name in fields)
+    field = fields[0]
     kept = getattr(value, field)
     with pytest.raises(AttributeError):
         setattr(value, field, kept)
