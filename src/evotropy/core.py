@@ -153,7 +153,8 @@ class Population(_Record):
     """A non-empty multiset of agent sequences over alphabet_size agents.
 
     Each member is a non-empty tuple of agent ids; the constructor turns
-    any rows of ints into such tuples.  The size bounds the symbols and is
+    any rows of integers into such tuples, each id the int operator.index
+    gives (True as 1).  The size bounds the symbols and is
     the base of every entropy measured over the members.  Member order
     carries no meaning; it is preserved only so that simulations replay
     byte-for-byte.  Every metric treats the members as an unordered
@@ -165,7 +166,6 @@ class Population(_Record):
 
     def _post_init(self) -> None:
         members = tuple(map(tuple, self.members))
-        object.__setattr__(self, "members", members)
         size = self.alphabet_size
         if size < 2:
             raise ValueError(f"alphabet needs at least 2 agents, got {size}")
@@ -173,16 +173,26 @@ class Population(_Record):
             raise ValueError("population needs at least one member")
         if not all(members):
             raise ValueError("agent sequence must be non-empty")
+        converted = False
         for symbol in chain.from_iterable(members):
-            try:
-                if 0 <= index(symbol) < size:
+            if type(symbol) is int:
+                if 0 <= symbol < size:
                     continue
-            except TypeError:
-                pass
+            else:
+                try:
+                    if 0 <= index(symbol) < size:
+                        converted = True
+                        continue
+                except TypeError:
+                    pass
             raise ValueError(
                 f"symbol {_shown(symbol, str)} is not a valid agent id for an "
                 f"alphabet of size {size}"
             )
+        # a symbol that is no int, True say, is stored as the int it stands for
+        if converted:
+            members = tuple(tuple(map(index, member)) for member in members)
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def _trusted(

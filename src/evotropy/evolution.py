@@ -14,7 +14,7 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import accumulate
 from operator import index, or_, truediv
@@ -52,7 +52,8 @@ def rand_below(rng: random.Random, n: int) -> int:
     """Uniform integer in [0, n), derived from a single random() draw."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return min(int(rng.random() * n), n - 1)
+    k = int(rng.random() * n)
+    return k if k < n else n - 1
 
 
 def rand_int(rng: random.Random, low: int, high: int) -> int:
@@ -284,29 +285,29 @@ def _coverage_codes(gaps: list[list[int]]) -> list[int]:
     return codes
 
 
-def _scores(
+def _rescore(
+    raw: list[float],
     members: Sequence[tuple[int, ...]],
+    positions: Iterable[int],
     config: EvolutionConfig,
     known: dict,
-) -> tuple[list[float], dict]:
-    """Fitness of every member, and the table read from.
+) -> dict:
+    """Set raw[i] to the fitness of members[i] for each i in `positions`.
 
-    `known` is the previous generation's table: the score of each distinct
-    member and of each coverage code it looked up.  A member not in it
-    gets the OR of its agents' codes, and _score runs only for a code
-    neither table holds.  The table returned holds this generation alone.
+    A member is looked up by its coverage code, the OR of its agents'
+    codes: in this call's table, then in `known`, the table of the call
+    before, and _score runs only for a code neither holds.  Returns this
+    call's table, the code of each position it scored and its score.
     """
-    codes, table = config.codes, {}
-    for symbols in dict.fromkeys(members):
-        score = known.get(symbols)
-        if score is None:
-            code = reduce(or_, map(codes.__getitem__, symbols))
-            # scores are positive, so a miss is the only false value
-            table[code] = score = (
-                table.get(code) or known.get(code) or _score(symbols, config.gaps)
-            )
-        table[symbols] = score
-    return list(map(table.__getitem__, members)), table
+    codes, gaps, table = config.codes, config.gaps, {}
+    for i in positions:
+        symbols = members[i]
+        code = reduce(or_, map(codes.__getitem__, symbols))
+        # scores are positive, so a miss is the only false value
+        raw[i] = table[code] = (
+            table.get(code) or known.get(code) or _score(symbols, gaps)
+        )
+    return table
 
 
 def fitness(
@@ -358,12 +359,13 @@ def select(
     adjusted_fitness: Sequence[float],
     target_size: int,
     rng: random.Random,
-) -> list[tuple[int, ...]]:
+) -> list[int]:
     """Roulette-wheel sampling with replacement down (or up) to target_size.
 
     Each draw lands on a member with probability proportional to its
     adjusted fitness.  Non-elitist: nothing is guaranteed survival, and
-    one member may be picked many times.  Returns the draws in order.
+    one member may be picked many times.  Returns the index in
+    population.members of each draw, in draw order.
     """
     members = population.members
     if len(adjusted_fitness) != len(members):
@@ -388,8 +390,7 @@ def select(
     last = len(members) - 1
     draw = rng.random
     return [
-        members[bisect_right(cumulative, draw() * total, 0, last)]
-        for _ in range(target_size)
+        bisect_right(cumulative, draw() * total, 0, last) for _ in range(target_size)
     ]
 
 
@@ -465,11 +466,12 @@ def step_generation(
     state: EvolutionState,
     config: EvolutionConfig,
     rng: random.Random,
+    raw: list[float],
     known: dict,
-) -> tuple[EvolutionState, GenerationStats, dict]:
+) -> tuple[EvolutionState, GenerationStats, list[float], dict]:
     """Advance one generation: evaluate, select, recombine, mutate, measure.
 
-    The order is fixed: raw fitness for everyone, parsimony adjustment
+    The order is fixed: parsimony adjustment of everyone's raw fitness
     against the current mean length (in the discriminating mode; the
     nondiscriminating baseline weighs everyone alike), roulette selection
     to the dynamic target size, one-point crossover on a random even-sized
@@ -479,18 +481,18 @@ def step_generation(
     evaluated parents together with the shape of the population they
     produced.
 
-    `rng` is the run's live Random and `known` the table of the previous
-    generation, the raw fitness of each distinct member and of each
-    coverage code it scored by (see _scores); the step returns the table
-    of the population it scored, for the next step.  evolve, the one caller,
-    checks the state's population against config.alphabet.
+    `rng` is the run's live Random, `raw` the raw fitness of each member
+    of the state's population, and `known` the table the last step scored
+    by (see _rescore).  Each survivor carries the raw fitness of the member
+    it was drawn as; only the positions crossover and mutation changed are
+    scored again.  The step returns the new population's raw fitness and
+    its own table, for the next step.  evolve, the one caller, checks the
+    state's population against config.alphabet.
     """
     alphabet = config.alphabet
     size = len(alphabet)
     members = state.population.members
     lengths = list(map(len, members))
-
-    raw, scores = _scores(members, config, known)
     mean_length = _mean(lengths)
     if config.mode == "discriminating":
         weights = parsimony_adjusted_fitness(
@@ -503,7 +505,9 @@ def step_generation(
     # the population grows with the mean length, so site statistics keep
     # pace with the sequences
     target = max(config.population_floor, math.ceil(size * mean_length))
-    survivors = select(state.population, weights, target, rng)
+    drawn = select(state.population, weights, target, rng)
+    survivors = list(map(members.__getitem__, drawn))
+    next_raw = list(map(raw.__getitem__, drawn))
 
     paired = int(config.crossover_fraction * len(survivors))
     paired -= paired % 2
@@ -514,8 +518,10 @@ def step_generation(
         )
 
     mutated = int(config.mutation_fraction * len(survivors))
-    for index in sample_indices(rng, len(survivors), mutated):
+    varied = sample_indices(rng, len(survivors), mutated)
+    for index in varied:
         survivors[index] = mutate(survivors[index], alphabet, rng)
+    table = _rescore(next_raw, survivors, picks + varied, config, known)
 
     next_population = Population._trusted(tuple(survivors), size)
     stats = _stats_for(state.generation + 1, raw, next_population)
@@ -524,7 +530,7 @@ def step_generation(
         population=next_population,
         rng_state=rng.getstate(),
     )
-    return next_state, stats, scores
+    return next_state, stats, next_raw, table
 
 
 def evolve(
@@ -551,10 +557,7 @@ def evolve(
         for _ in range(config.population_floor):
             length = rand_int(rng, low, high)
             members.append(tuple(rand_below(rng, size) for _ in range(length)))
-        population = Population(tuple(members), size)
-        state = EvolutionState(0, population, rng.getstate())
-        raw, scores = _scores(members, config, {})
-        yield state, _stats_for(0, raw, population)
+        state = EvolutionState(0, Population(tuple(members), size), rng.getstate())
     else:
         # each step builds its population unchecked: it holds at least
         # population_floor members, each drawn from the last, whose symbols
@@ -572,8 +575,14 @@ def evolve(
             raise ValueError(
                 "rng_state is not a state random.Random.setstate accepts"
             ) from None
-        state, scores = start, {}
+        state = start
+    # the first population is scored member by member, from an empty table
+    members = state.population.members
+    raw = [0.0] * len(members)
+    known = _rescore(raw, members, range(len(members)), config, {})
+    if start is None:
+        yield state, _stats_for(0, raw, state.population)
     for _ in range(state.generation, config.generations):
         # a module-global lookup, so a wrapper put on step_generation sees each step
-        state, stats, scores = step_generation(state, config, rng, scores)
+        state, stats, raw, known = step_generation(state, config, rng, raw, known)
         yield state, stats

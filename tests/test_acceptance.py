@@ -275,7 +275,8 @@ def test_criterion_7_operator_invariants(announce):
             ]
             population = make_population(alphabet, rows)
             weights = [rng.uniform(0.01, 1.0) for _ in rows]
-            chosen = select(population, weights, 20, rng)
+            drawn = select(population, weights, 20, rng)
+            chosen = [population.members[i] for i in drawn]
             allowed = {tuple(row) for row in rows}
             if any(member not in allowed for member in chosen):
                 ok, detail = False, f"selection case {case}: member from nowhere"
@@ -326,7 +327,8 @@ def test_criterion_8_randomness_calibration(announce):
     # roulette draws under uniform weights must be consistent with uniform:
     # chi-square goodness of fit over 8 members x 10,000 draws, p > 0.01
     population = make_population(make_alphabet(8), [[s] for s in range(8)])
-    chosen = select(population, [1.0] * 8, 10_000, random.Random(5150))
+    drawn = select(population, [1.0] * 8, 10_000, random.Random(5150))
+    chosen = [population.members[i] for i in drawn]
     counts = [0] * 8
     for member in chosen:
         counts[member[0]] += 1

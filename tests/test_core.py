@@ -1,4 +1,5 @@
 import inspect
+from itertools import chain
 
 import pytest
 
@@ -8,6 +9,8 @@ from evotropy import (
     EvolutionConfig,
     Population,
     evolve,
+    format_snapshot,
+    read_population_file,
 )
 
 
@@ -95,8 +98,14 @@ class TestPopulationMembers:
             f"symbol {bad} is not a valid agent id for an alphabet of size 2"
         )
 
-    def test_accepts_what_operator_index_takes(self):
-        assert Population([(True, 0)], 2).members == ((1, 0),)
+    def test_accepts_what_operator_index_takes(self, tmp_path):
+        population = Population([(True, 0), (1, False)], 2)
+        assert population.members == ((1, 0), (1, 0))
+        # stored as ints, so a snapshot writes `1 0`, a line the reader takes
+        assert all(type(symbol) is int for symbol in chain(*population.members))
+        path = tmp_path / "snap.txt"
+        path.write_text("alphabet_size=2\n" + format_snapshot(population), "ascii")
+        assert read_population_file(path) == population
 
 
 class TestPopulation:

@@ -157,15 +157,13 @@ class TestSelect:
     def test_overwhelming_weight_dominates(self, alphabet2):
         population = make_population(alphabet2, [[0, 0], [1, 1]])
         chosen = select(population, [0.9, 1e-9], 100, random.Random(7))
-        firsts = sum(1 for member in chosen if member == (0, 0))
-        assert firsts >= 95
+        assert chosen.count(0) >= 95
 
     def test_uniform_weights_are_roughly_even(self, alphabet2):
         population = make_population(alphabet2, [[0], [1]])
         chosen = select(population, [1.0, 1.0], 10000, random.Random(8))
-        zeros = sum(1 for member in chosen if member == (0,))
         # 3 sigma around 5000 for a fair coin over 10000 draws
-        assert abs(zeros - 5000) < 150
+        assert abs(chosen.count(0) - 5000) < 150
 
     def test_reaches_requested_size_with_replacement(self, alphabet2):
         population = make_population(alphabet2, [[0], [1]])
@@ -176,8 +174,9 @@ class TestSelect:
         rows = [[0, 1], [2], [1, 1, 0]]
         population = make_population(alphabet3, rows)
         chosen = select(population, [0.3, 0.5, 0.2], 20, random.Random(10))
-        allowed = {tuple(row) for row in rows}
-        assert all(member in allowed for member in chosen)
+        # each draw is the index of the member it landed on
+        assert all(type(draw) is int for draw in chosen)
+        assert set(chosen) <= set(range(len(rows)))
 
     def test_same_seed_means_same_outcome(self, alphabet2):
         population = make_population(alphabet2, [[0], [1], [0, 1]])
@@ -219,7 +218,7 @@ class TestSelect:
         weights = [sys.float_info.min] * 2
         chosen = select(population, weights, 10000, random.Random(1))
         # 3 sigma around 5000 for a fair coin over 10000 draws
-        assert abs(chosen.count((0,)) - 5000) < 150
+        assert abs(chosen.count(0) - 5000) < 150
 
 
 class TestCrossover:
@@ -849,48 +848,57 @@ class TestEvolve:
         yielded = list(evolve(config, start=state))
         assert [state.generation for state, _ in yielded] == [1, 2, 3]
 
-    def test_each_step_scores_each_new_code_once(self, monkeypatch):
+    def test_each_step_scores_only_the_positions_it_changed(self, monkeypatch):
         # agent 3 covers what agents 0 and 2 cover together, so members
         # over different agents share a coverage code
         config = self.config(alphabet=make_alphabet(4, [(3,), (5,), (7,), (3, 7)]))
-        steps = []  # (the table a step was handed, the codes it scored)
+        # per step: the table handed in, the positions sample_indices drew,
+        # the members _score ran on and the table handed on; seeding scores
+        # every position of generation 0 from an empty table
+        steps = [dict(known={}, changed=set(range(config.population_floor)), scored=[])]
 
         def code(symbols):
             return reduce(or_, map(config.codes.__getitem__, symbols))
 
         def counting(symbols, gaps):
-            steps[-1][1].append(code(symbols))
+            steps[-1]["scored"].append(symbols)
             return original(symbols, gaps)
 
-        def step(state, config, rng, known):
-            steps.append((known, []))
-            return original_step(state, config, rng, known)
+        def sampling(*args):
+            indices = original_sample(*args)
+            steps[-1]["changed"].update(indices)
+            return indices
+
+        def step(state, config, rng, raw, known):
+            steps.append(dict(known=known, changed=set(), scored=[]))
+            result = original_step(state, config, rng, raw, known)
+            steps[-1]["handed_on"] = result[3]
+            return result
 
         original, original_step = evolution._score, evolution.step_generation
+        original_sample = evolution.sample_indices
         monkeypatch.setattr(evolution, "_score", counting)
+        monkeypatch.setattr(evolution, "sample_indices", sampling)
         monkeypatch.setattr(evolution, "step_generation", step)
-        steps.append(({}, []))
         populations = [state.population for state, _ in evolve(config)]
-        # seeding scores generation 0 and each step the generation before it
-        scored_populations = populations[:1] + populations[:-1]
-        for (known, scored), population in zip(steps, scored_populations):
+        steps[0]["handed_on"] = steps[1]["known"]
+        assert len(steps) == len(populations) == config.generations + 1
+        shared = False  # whether changed members over other agents share a code
+        for made, spent in zip(populations, steps):
+            members = made.members
+            changed = {code(members[i]) for i in spent["changed"]}
+            agent_sets = {frozenset(members[i]) for i in spent["changed"]}
+            shared |= len(agent_sets) > len(changed)
+            scored = list(map(code, spent["scored"]))
+            # _score runs once per code that a changed position holds and
+            # neither table held
             assert len(scored) == len(set(scored))
-            new = {
-                code(symbols)
-                for symbols in population.members
-                if symbols not in known and code(symbols) not in known
-            }
-            assert set(scored) == new
-        # each step hands on the table of the population it scored alone
-        for (known, _), previous in zip(steps[1:], scored_populations):
-            members = {key for key in known if isinstance(key, tuple)}
-            assert members == set(previous.members)
-        # seeding leaves the first step nothing to score
-        assert steps[1][1] == [] and any(scored for _, scored in steps[2:])
-        # some member is scored by the code of another
-        assert sum(len(scored) for _, scored in steps) < sum(
-            len(set(population.members)) for population in populations[:-1]
-        )
+            assert set(scored) == changed - set(spent["known"])
+            # the table handed on holds the changed positions' codes alone
+            assert set(spent["handed_on"]) == changed
+        assert shared
+        # some step met a code its last step had scored
+        assert any(set(spent["known"]) & set(spent["handed_on"]) for spent in steps)
 
     @pytest.mark.parametrize(
         "mode, calls", [("nondiscriminating", 0), ("discriminating", 3)]

@@ -7,6 +7,7 @@ from collections import Counter
 from functools import reduce
 from operator import or_
 from statistics import fmean
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -114,8 +115,7 @@ class TestSelectionInvariants:
         population = make_population(make_alphabet(alphabet_size), rows)
         chosen = select(population, weights, target, random.Random(seed))
         assert len(chosen) == target
-        allowed = {tuple(row) for row in rows}
-        assert all(member in allowed for member in chosen)
+        assert set(chosen) <= set(range(len(rows)))
 
 
 class TestSelectMatchesLoop:
@@ -134,8 +134,9 @@ class TestSelectMatchesLoop:
         rows = [[index % 3] for index in range(len(weights))]
         population = make_population(make_alphabet(3), rows)
         rng, loop_rng = random.Random(seed), random.Random(seed)
-        chosen = select(population, weights, target, rng)
-        assert chosen == oracle.roulette(loop_rng, population.members, weights, target)
+        members = population.members
+        chosen = [members[i] for i in select(population, weights, target, rng)]
+        assert chosen == oracle.roulette(loop_rng, members, weights, target)
         assert rng.getstate() == loop_rng.getstate()
 
     @pytest.mark.parametrize("top", [1 - 2**-53, 1.0])
@@ -147,8 +148,9 @@ class TestSelectMatchesLoop:
         population = make_population(make_alphabet(3), [[0], [1], [2]])
         weights = [0.5, 0.25, 0.25]
         chosen = select(population, weights, 4, TopRandom())
-        assert chosen == oracle.roulette(TopRandom(), population.members, weights, 4)
-        assert chosen == [(2,)] * 4
+        assert chosen == [2] * 4
+        members = oracle.roulette(TopRandom(), population.members, weights, 4)
+        assert members == [(2,)] * 4
 
 
 class TestParsimonyMatchesScalarFormula:
@@ -259,19 +261,48 @@ class TestCoverageCodes:
             agents = data.draw(st.permutations(sorted(set(symbols))))
             assert code_of(config, agents) == code_of(config, symbols)
 
-    @given(coded_worlds(), st.data())
-    def test_scores_are_the_fitness_of_every_member(self, world, data):
+    @given(
+        coded_worlds(),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from(MODES),
+        seeds,
+    )
+    def test_each_step_hands_on_the_fitness_of_every_member(
+        self, world, crossover, mutation, mode, seed
+    ):
+        # the world's members hold every single agent, so crossover meets
+        # length-1 parents that it passes through
         config, members = world
-        expected = [
-            fitness(symbols, config.request, config.alphabet) for symbols in members
-        ]
-        raw, _ = evolution._scores(members, config, {})
-        assert raw == expected
-        # against the table of a generation that held only some of them
-        earlier = data.draw(st.lists(st.sampled_from(members), max_size=len(members)))
-        _, known = evolution._scores(earlier, config, {})
-        raw, _ = evolution._scores(members, config, known)
-        assert raw == expected
+        config = EvolutionConfig(
+            request=config.request,
+            alphabet=config.alphabet,
+            rng_seed=seed,
+            crossover_fraction=crossover,
+            mutation_fraction=mutation,
+            population_floor=len(members),
+            generations=3,
+            mode=mode,
+        )
+        population = Population(members, len(config.alphabet))
+        start = EvolutionState(0, population, random.Random(seed).getstate())
+        handed = []
+
+        def recording(state, config, rng, raw, known):
+            result = original(state, config, rng, raw, known)
+            handed.append((state, raw))
+            handed.append((result[0], result[2]))
+            return result
+
+        original = evolution.step_generation
+        with mock.patch.object(evolution, "step_generation", recording):
+            list(evolve(config, start=start))
+        assert len(handed) == 2 * config.generations
+        for state, raw in handed:
+            assert raw == [
+                fitness(symbols, config.request, config.alphabet)
+                for symbols in state.population.members
+            ]
 
 
 class TestFitnessInvariants:

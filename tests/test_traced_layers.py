@@ -43,7 +43,7 @@ ANALYZE_PATH = {
     ("cli", "read_population_file"),
     ("cli", "physical_complexity_variable"),
 }
-# the generation loop scores through evolution._scores, so nothing calls
+# the generation loop scores through evolution._rescore, so nothing calls
 # evolution.fitness; pointing the tracer at the scorer is ROADMAP item 1
 OFF_PATH = {("evolution", "fitness")}
 
