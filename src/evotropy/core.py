@@ -173,25 +173,18 @@ class Population(_Record):
             raise ValueError("population needs at least one member")
         if not all(members):
             raise ValueError("agent sequence must be non-empty")
-        converted = False
         for symbol in chain.from_iterable(members):
-            if type(symbol) is int:
-                if 0 <= symbol < size:
+            try:
+                if 0 <= index(symbol) < size:
                     continue
-            else:
-                try:
-                    if 0 <= index(symbol) < size:
-                        converted = True
-                        continue
-                except TypeError:
-                    pass
+            except TypeError:
+                pass
             raise ValueError(
-                f"symbol {_shown(symbol, str)} is not a valid agent id for an "
-                f"alphabet of size {size}"
+                f"symbol {_shown(symbol, str, repr)} is not a valid agent id for "
+                f"an alphabet of size {size}"
             )
         # a symbol that is no int, True say, is stored as the int it stands for
-        if converted:
-            members = tuple(tuple(map(index, member)) for member in members)
+        members = tuple(tuple(map(index, member)) for member in members)
         object.__setattr__(self, "members", members)
 
     @classmethod
@@ -200,10 +193,11 @@ class Population(_Record):
     ) -> "Population":
         """Build without the checks, for members known to be valid.
 
-        The generation loop draws every symbol below alphabet_size and
-        read_population_file checks each distinct symbol it read, and
-        neither builds an empty population; the constructor and from_rows,
-        which take outside input, keep the checks.
+        The generation loop draws every symbol below alphabet_size, for
+        generation 0 and at each step, and read_population_file checks each
+        distinct symbol it read, and neither builds an empty population;
+        the constructor and from_rows, which take outside input, keep the
+        checks.
         """
         population = object.__new__(cls)
         object.__setattr__(population, "members", members)

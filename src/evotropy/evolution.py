@@ -550,6 +550,10 @@ def evolve(
     too long for the selection weights to stay normal floats.
     """
     size = len(config.alphabet)
+    # the loop builds every population unchecked: generation 0 draws
+    # population_floor >= 2 non-empty members, every symbol below
+    # alphabet_size, and each step keeps at least as many, each drawn from
+    # the last or varied below the same size
     if start is None:
         rng = random.Random(config.rng_seed)
         low, high = INITIAL_LENGTH_RANGE
@@ -557,17 +561,14 @@ def evolve(
         for _ in range(config.population_floor):
             length = rand_int(rng, low, high)
             members.append(tuple(rand_below(rng, size) for _ in range(length)))
-        state = EvolutionState(0, Population(tuple(members), size), rng.getstate())
+        population = Population._trusted(tuple(members), size)
+        state = EvolutionState(0, population, rng.getstate())
     else:
-        # each step builds its population unchecked: it holds at least
-        # population_floor members, each drawn from the last, whose symbols
-        # lie below its alphabet_size, or varied below the same size
         if start.population.alphabet_size != size:
             raise ValueError("the start's population is not over the config's alphabet")
         # a hand-built start may hold members longer than the config's floor covers
         longest = max(map(len, start.population.members)) - start.generation
-        if longest > INITIAL_LENGTH_RANGE[1]:
-            _check_weight_floor(config, config.gaps, longest)
+        _check_weight_floor(config, config.gaps, max(longest, INITIAL_LENGTH_RANGE[1]))
         rng = random.Random()
         try:
             rng.setstate(start.rng_state)

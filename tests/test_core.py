@@ -1,4 +1,5 @@
 import inspect
+from decimal import Decimal
 from itertools import chain
 
 import pytest
@@ -88,7 +89,9 @@ class TestPopulationMembers:
             ([(0.5, 1)] * 2 + [(1.0,)] * 2, "0.5"),
             # 1.0 == 1, so a set of the symbols alone would keep only the 1
             ([(0, 1), (1.0,)], "1.0"),
-            ([(0, "1")], "1"),
+            # a text or Decimal symbol is named by its repr, not read as an int
+            ([(0, "1")], "'1'"),
+            ([(Decimal(1),)], "Decimal('1')"),
         ],
     )
     def test_rejects_a_symbol_that_is_not_an_integer(self, rows, bad):

@@ -402,6 +402,32 @@ class TestLoopBuildsValidPopulations:
             assert state.population.alphabet_size == len(config.alphabet)
             Population(state.population.members, len(config.alphabet))
 
+    @given(
+        st.integers(min_value=2, max_value=40), st.data(), st.sampled_from(MODES), seeds
+    )
+    def test_generation_0_is_what_the_checked_constructor_builds(
+        self, pool_size, data, mode, seed
+    ):
+        floor = data.draw(st.integers(min_value=pool_size, max_value=200))
+        config = EvolutionConfig(
+            request=(0,),
+            alphabet=make_alphabet(pool_size),
+            rng_seed=seed,
+            population_floor=floor,
+            generations=0,
+            mode=mode,
+        )
+        [(state, _)] = evolve(config)
+        population = state.population
+        assert population == Population(population.members, pool_size)
+        assert len(population) == floor
+        low, high = evolution.INITIAL_LENGTH_RANGE
+        for member in population.members:
+            assert type(member) is tuple
+            assert low <= len(member) <= high
+            assert all(type(symbol) is int for symbol in member)
+            assert all(0 <= symbol < pool_size for symbol in member)
+
 
 class TestLoopMeasuresEveryGeneration:
     @given(small_configs())
