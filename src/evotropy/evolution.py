@@ -42,7 +42,7 @@ __all__ = [
 # freshly seeded members get lengths drawn uniformly from this range
 INITIAL_LENGTH_RANGE = (1, 5)
 
-# fitness-proportional selection, and its control of flat weights
+# fitness-proportional selection, and its control of uniform draws
 MODES = ("discriminating", "nondiscriminating")
 
 _MUTATION_KINDS = ("insert", "replace", "delete")
@@ -138,8 +138,8 @@ def _check_weight_floor(settings, gaps, longest: int) -> None:
     monotone, so the weight computed here is no larger than any the run
     computes; a subnormal weight could round a roulette draw past the wheel.
     The floor binds under selection only: the nondiscriminating baseline
-    weighs every member 1.0.  The gap sums and the length bound hold in
-    both modes, since raw fitness and lengths are computed for the stats.
+    draws members uniformly, weighing none.  The gap sums and the length
+    bound hold in both modes, as raw fitness and lengths feed the stats.
     """
     try:
         lowest_raw = 1.0 / (1.0 + max(map(sum, gaps), default=0))
@@ -471,10 +471,10 @@ def step_generation(
 ) -> tuple[EvolutionState, GenerationStats, list[float], dict]:
     """Advance one generation: evaluate, select, recombine, mutate, measure.
 
-    The order is fixed: parsimony adjustment of everyone's raw fitness
-    against the current mean length (in the discriminating mode; the
-    nondiscriminating baseline weighs everyone alike), roulette selection
-    to the dynamic target size, one-point crossover on a random even-sized
+    The order is fixed: survival draws to the dynamic target size (roulette
+    selection on raw fitness, parsimony-adjusted against the current mean
+    length, in the discriminating mode; uniform draws in the
+    nondiscriminating baseline), one-point crossover on a random even-sized
     slice of the survivors, single point mutations on a random slice of the
     result (crossover children included), then the complexity report of
     the new population.  The returned stats carry the raw fitness of the
@@ -494,18 +494,17 @@ def step_generation(
     members = state.population.members
     lengths = list(map(len, members))
     mean_length = _mean(lengths)
+    # the population grows with the mean length, so site statistics keep
+    # pace with the sequences
+    target = max(config.population_floor, math.ceil(size * mean_length))
     if config.mode == "discriminating":
         weights = parsimony_adjusted_fitness(
             raw, lengths, mean_length, config.parsimony_coefficient
         )
+        drawn = select(state.population, weights, target, rng)
     else:
-        # the nondiscriminating baseline feeds flat weights to the same roulette
-        weights = [1.0] * len(members)
-
-    # the population grows with the mean length, so site statistics keep
-    # pace with the sequences
-    target = max(config.population_floor, math.ceil(size * mean_length))
-    drawn = select(state.population, weights, target, rng)
+        # a wheel of flat weights lands where rand_below does, draw for draw
+        drawn = [rand_below(rng, len(members)) for _ in range(target)]
     survivors = list(map(members.__getitem__, drawn))
     next_raw = list(map(raw.__getitem__, drawn))
 

@@ -1,16 +1,17 @@
 """The nondiscriminating baseline checked against the process it claims to be.
 
-With flat weights the roulette is multinomial sampling with replacement,
-so one generation is a Wright-Fisher step.  With mutation off no member
-outgrows the initial 5 symbols, so ceil(16 * mean length) stays below the
-floor of 160 and N stays at the floor; crossover cuts at 1 or later, so
-site 1 of every member is copied unchanged.  The site-1 heterozygosity
+Each survivor is a uniform draw with replacement from the parents
+(rand_below, one random() call per draw), so one generation is a
+Wright-Fisher step.  With mutation off no member outgrows the initial 5
+symbols, so ceil(16 * mean length) stays below the floor of 160 and N
+stays at the floor; crossover cuts at 1 or later, so site 1 of every
+member is copied unchanged.  The site-1 heterozygosity
 H = 1 - sum_a p_a**2 then obeys E[H_t | H_0] = H_0 (1 - 1/N)**t (Wright
 1931; Kimura and Crow, Genetics 49:725, 1964).
 
-With flat weights each draw also picks a member uniformly, so a site-1
-symbol's expected share among the next generation's members is its share
-now, whatever size the population takes: the share is a martingale.  An
+Since each draw picks a member uniformly, a site-1 symbol's expected
+share among the next generation's members is its share now, whatever
+size the population takes: the share is a martingale.  An
 agent that stays at site 1 alone is fixed there, and it fixes with
 probability its initial share (Kimura, Genetics 47:713, 1962).  This holds
 in a small world too, where N = max(8, ceil(8 * mean length)) moves with

@@ -645,8 +645,9 @@ class TestStepGeneration:
         assert first_state.rng_state == second_state.rng_state
 
     def test_modes_agree_when_everyone_is_identical(self):
-        # equal members make the roulette outcome independent of the weights,
-        # so the two modes must produce byte-for-byte the same step
+        # equal members make the survivors independent of how they are drawn,
+        # one random() call per draw in both modes, so the two modes must
+        # produce byte-for-byte the same step
         base = self.perfect_config(
             crossover_fraction=0.25, mutation_fraction=0.25, rng_seed=10
         )
@@ -680,8 +681,34 @@ class TestStepGeneration:
         perfect = sum(
             1 for member in next_state.population.members if member == (0,)
         )
-        # flat weights: a fair coin over 1000 draws, 3 sigma band
+        # uniform draws: a fair coin over 1000 draws, 3 sigma band
         assert abs(perfect - 500) < 50
+
+    @pytest.mark.parametrize("mode", ["discriminating", "nondiscriminating"])
+    def test_only_selection_weighs_and_spins_the_wheel(self, monkeypatch, mode):
+        # every digest would still match if the control went back through a
+        # wheel of flat weights; this guard sees the route, not the outcome
+        reached = set()
+
+        def guarded(real):
+            def wrapper(*args):
+                reached.add(real.__name__)
+                if mode == "nondiscriminating":
+                    raise AssertionError(f"the control reached {real.__name__}")
+                return real(*args)
+
+            return wrapper
+
+        for name in ("select", "parsimony_adjusted_fitness"):
+            monkeypatch.setattr(evolution, name, guarded(getattr(evolution, name)))
+        config = self.perfect_config(
+            crossover_fraction=0.25, mutation_fraction=0.25, generations=3, mode=mode
+        )
+        assert [state.generation for state, _ in evolve(config)] == [0, 1, 2, 3]
+        if mode == "discriminating":
+            assert reached == {"select", "parsimony_adjusted_fitness"}
+        else:
+            assert reached == set()
 
 
 def collect(config):

@@ -1,5 +1,6 @@
 """Property tests for the variation and selection operators."""
 
+import functools
 import math
 import random
 import sys
@@ -35,6 +36,22 @@ from evotropy import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TopRandom:
+    """A Random stand-in whose every draw is `top`, the top of the unit interval."""
+
+    def __init__(self, top):
+        self.top = top
+
+    def random(self):
+        return self.top
+
+
+@functools.cache
+def one_symbol_population(n):
+    """A population of n members (0,); each size is built once per session."""
+    return Population._trusted(((0,),) * n, 2)
 
 
 @st.composite
@@ -141,16 +158,48 @@ class TestSelectMatchesLoop:
 
     @pytest.mark.parametrize("top", [1 - 2**-53, 1.0])
     def test_draw_at_the_top_of_the_wheel_is_clamped_to_the_last_member(self, top):
-        class TopRandom:
-            def random(self):
-                return top
-
         population = make_population(make_alphabet(3), [[0], [1], [2]])
         weights = [0.5, 0.25, 0.25]
-        chosen = select(population, weights, 4, TopRandom())
+        chosen = select(population, weights, 4, TopRandom(top))
         assert chosen == [2] * 4
-        members = oracle.roulette(TopRandom(), population.members, weights, 4)
+        members = oracle.roulette(TopRandom(top), population.members, weights, 4)
         assert members == [(2,)] * 4
+
+
+class TestFlatWheelMatchesRandBelow:
+    """A wheel of flat weights draws as rand_below does, index for index.
+
+    Its running sums are the integers 1.0 .. n, exact below 2**53, so the
+    bisection of draw * n lands on min(int(draw * n), n - 1): the
+    nondiscriminating step draws its survivors with rand_below and no wheel.
+    """
+
+    @staticmethod
+    def assert_same_draws(n, target, seed):
+        population = one_symbol_population(n)
+        rng, below_rng = random.Random(seed), random.Random(seed)
+        chosen = select(population, [1.0] * n, target, rng)
+        assert chosen == [rand_below(below_rng, n) for _ in range(target)]
+        assert rng.getstate() == below_rng.getstate()
+
+    @given(
+        st.integers(min_value=1, max_value=5_000),
+        st.integers(min_value=1, max_value=200),
+        seeds,
+    )
+    def test_same_indices_and_rng_state(self, n, target, seed):
+        self.assert_same_draws(n, target, seed)
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+    def test_same_indices_and_rng_state_around_a_power_of_two(self, n):
+        self.assert_same_draws(n, 4_096, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**16 + 1])
+    @pytest.mark.parametrize("top", [1 - 2**-53, 1.0])
+    def test_draw_at_the_top_is_clamped_to_the_last_index(self, n, top):
+        chosen = select(one_symbol_population(n), [1.0] * n, 4, TopRandom(top))
+        below = TopRandom(top)
+        assert chosen == [rand_below(below, n) for _ in range(4)] == [n - 1] * 4
 
 
 class TestParsimonyMatchesScalarFormula:
