@@ -89,6 +89,21 @@ def _settle(name: str, kind: str, value):
         ) from None
 
 
+def _check_symbols(symbols: Iterable, size: int) -> None:
+    """Raise ValueError naming the first symbol that is no agent id, an int
+    as operator.index reads it (True as 1) in range(size)."""
+    for symbol in symbols:
+        try:
+            if 0 <= index(symbol) < size:
+                continue
+        except TypeError:
+            pass
+        raise ValueError(
+            f"symbol {_shown(symbol, str, repr)} is not a valid agent id for "
+            f"an alphabet of size {size}"
+        )
+
+
 class _Record:
     """An immutable value whose fields are its class annotations, in order.
 
@@ -173,16 +188,7 @@ class Population(_Record):
             raise ValueError("population needs at least one member")
         if not all(members):
             raise ValueError("agent sequence must be non-empty")
-        for symbol in chain.from_iterable(members):
-            try:
-                if 0 <= index(symbol) < size:
-                    continue
-            except TypeError:
-                pass
-            raise ValueError(
-                f"symbol {_shown(symbol, str, repr)} is not a valid agent id for "
-                f"an alphabet of size {size}"
-            )
+        _check_symbols(chain.from_iterable(members), size)
         # a symbol that is no int, True say, is stored as the int it stands for
         members = tuple(tuple(map(index, member)) for member in members)
         object.__setattr__(self, "members", members)

@@ -20,7 +20,7 @@ from itertools import accumulate
 from operator import index, or_, truediv
 
 from .complexity import physical_complexity_variable
-from .core import ConfigError, Population, _Record, _shown
+from .core import ConfigError, Population, _Record, _check_symbols, _shown
 
 __all__ = [
     "INITIAL_LENGTH_RANGE",
@@ -321,8 +321,12 @@ def fitness(
     to one pool; each requested value is matched against the closest
     pooled value and the absolute gaps are summed.  Returns
     1 / (1 + total gap), so exact coverage scores 1.0 and the score is
-    always positive.
+    always positive.  Raises ValueError for an empty run, and for a symbol
+    that is not an agent id of the alphabet, an int in range(len(alphabet)).
     """
+    if not symbols:
+        raise ValueError("agent sequence must be non-empty")
+    _check_symbols(symbols, len(alphabet))
     return _score(symbols, _gap_table(request, alphabet))
 
 
@@ -445,53 +449,33 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def _stats_for(
-    generation: int, raw: Sequence[float], population: Population
-) -> GenerationStats:
-    # never unmeasurable: check_settings keeps population_floor >= the pool size
-    report = physical_complexity_variable(population)
-    return GenerationStats(
-        generation=generation,
-        max_fitness=max(raw),
-        mean_fitness=_mean(raw),
-        mean_length=_mean(list(map(len, population.members))),
-        population_size=len(population),
-        calculable_length=report.calculable_length,
-        complexity=report.complexity,
-        efficiency=report.efficiency,
-    )
-
-
 def step_generation(
-    state: EvolutionState,
+    population: Population,
     config: EvolutionConfig,
     rng: random.Random,
     raw: list[float],
     known: dict,
-) -> tuple[EvolutionState, GenerationStats, list[float], dict]:
-    """Advance one generation: evaluate, select, recombine, mutate, measure.
+) -> tuple[Population, list[float], dict]:
+    """The population of the next generation, with its raw fitness.
 
     The order is fixed: survival draws to the dynamic target size (roulette
     selection on raw fitness, parsimony-adjusted against the current mean
     length, in the discriminating mode; uniform draws in the
     nondiscriminating baseline), one-point crossover on a random even-sized
-    slice of the survivors, single point mutations on a random slice of the
-    result (crossover children included), then the complexity report of
-    the new population.  The returned stats carry the raw fitness of the
-    evaluated parents together with the shape of the population they
-    produced.
+    slice of the survivors, then single point mutations on a random slice
+    of the result (crossover children included).
 
     `rng` is the run's live Random, `raw` the raw fitness of each member
-    of the state's population, and `known` the table the last step scored
-    by (see _rescore).  Each survivor carries the raw fitness of the member
-    it was drawn as; only the positions crossover and mutation changed are
-    scored again.  The step returns the new population's raw fitness and
-    its own table, for the next step.  evolve, the one caller, checks the
-    state's population against config.alphabet.
+    of `population`, and `known` the table the last step scored by (see
+    _rescore).  Each survivor carries the raw fitness of the member it was
+    drawn as; only the positions crossover and mutation changed are scored
+    again.  Returns the new population, its raw fitness and the step's own
+    table, for the next step.  evolve, the one caller, checks `population`
+    against config.alphabet, and numbers and measures what the step makes.
     """
     alphabet = config.alphabet
     size = len(alphabet)
-    members = state.population.members
+    members = population.members
     lengths = list(map(len, members))
     mean_length = _mean(lengths)
     # the population grows with the mean length, so site statistics keep
@@ -501,7 +485,7 @@ def step_generation(
         weights = parsimony_adjusted_fitness(
             raw, lengths, mean_length, config.parsimony_coefficient
         )
-        drawn = select(state.population, weights, target, rng)
+        drawn = select(population, weights, target, rng)
     else:
         # a wheel of flat weights lands where rand_below does, draw for draw
         drawn = [rand_below(rng, len(members)) for _ in range(target)]
@@ -522,14 +506,7 @@ def step_generation(
         survivors[index] = mutate(survivors[index], alphabet, rng)
     table = _rescore(next_raw, survivors, picks + varied, config, known)
 
-    next_population = Population._trusted(tuple(survivors), size)
-    stats = _stats_for(state.generation + 1, raw, next_population)
-    next_state = EvolutionState(
-        generation=state.generation + 1,
-        population=next_population,
-        rng_state=rng.getstate(),
-    )
-    return next_state, stats, next_raw, table
+    return Population._trusted(tuple(survivors), size), next_raw, table
 
 
 def evolve(
@@ -542,11 +519,13 @@ def evolve(
     random, and yields (state, stats) for this generation 0 first.  With
     `start`, the Random continues from start.rng_state and the start
     itself is not yielded again.  Then it yields (state, stats) after each
-    step, up to generation config.generations.  Raises ValueError when
-    the start's population is over another alphabet size than
-    config.alphabet has, or when random.Random refuses start.rng_state,
-    and ConfigError naming parsimony_coefficient when a start member is
-    too long for the selection weights to stay normal floats.
+    step, up to generation config.generations, the stats pairing the raw
+    fitness of the evaluated parents with the shape of the population they
+    produced.  Raises ValueError when the start's population is over
+    another alphabet size than config.alphabet has, or when random.Random
+    refuses start.rng_state, and ConfigError naming parsimony_coefficient
+    when a start member is too long for the selection weights to stay
+    normal floats.
     """
     size = len(config.alphabet)
     # the loop builds every population unchecked: generation 0 draws
@@ -561,12 +540,13 @@ def evolve(
             length = rand_int(rng, low, high)
             members.append(tuple(rand_below(rng, size) for _ in range(length)))
         population = Population._trusted(tuple(members), size)
-        state = EvolutionState(0, population, rng.getstate())
+        first = 0
     else:
-        if start.population.alphabet_size != size:
+        population = start.population
+        if population.alphabet_size != size:
             raise ValueError("the start's population is not over the config's alphabet")
         # a hand-built start may hold members longer than the config's floor covers
-        longest = max(map(len, start.population.members)) - start.generation
+        longest = max(map(len, population.members)) - start.generation
         _check_weight_floor(config, config.gaps, max(longest, INITIAL_LENGTH_RANGE[1]))
         rng = random.Random()
         try:
@@ -575,14 +555,27 @@ def evolve(
             raise ValueError(
                 "rng_state is not a state random.Random.setstate accepts"
             ) from None
-        state = start
+        first = start.generation + 1
     # the first population is scored member by member, from an empty table
-    members = state.population.members
-    raw = [0.0] * len(members)
-    known = _rescore(raw, members, range(len(members)), config, {})
-    if start is None:
-        yield state, _stats_for(0, raw, state.population)
-    for _ in range(state.generation, config.generations):
-        # a module-global lookup, so a wrapper put on step_generation sees each step
-        state, stats, raw, known = step_generation(state, config, rng, raw, known)
-        yield state, stats
+    raw = [0.0] * len(population)
+    known = _rescore(raw, population.members, range(len(raw)), config, {})
+    # generation 0 alone is seeded, not stepped: a start yields from after it
+    for generation in range(first, config.generations + 1):
+        parents = raw
+        if generation:
+            # module-global lookups, so wrappers see each generation
+            population, raw, known = step_generation(
+                population, config, rng, raw, known
+            )
+        # never unmeasurable: check_settings keeps population_floor >= the pool size
+        report = physical_complexity_variable(population)
+        yield EvolutionState(generation, population, rng.getstate()), GenerationStats(
+            generation=generation,
+            max_fitness=max(parents),
+            mean_fitness=_mean(parents),
+            mean_length=_mean(list(map(len, population.members))),
+            population_size=len(population),
+            calculable_length=report.calculable_length,
+            complexity=report.complexity,
+            efficiency=report.efficiency,
+        )

@@ -116,6 +116,23 @@ class TestFitness:
         thrice = fitness((0, 0, 0), (4,), alphabet)
         assert once == thrice
 
+    @pytest.mark.parametrize(
+        "symbols, message",
+        [
+            ((-1,), "^symbol -1 is not a valid agent id for an alphabet of size 2$"),
+            ((), "^agent sequence must be non-empty$"),
+            ((2,), "^symbol 2 is not a valid agent id for an alphabet of size 2$"),
+            (("0",), "^symbol '0' is not a valid agent id for an alphabet of size 2$"),
+        ],
+    )
+    def test_a_run_it_cannot_score_is_refused(self, symbols, message):
+        with pytest.raises(ValueError, match=message):
+            fitness(symbols, (1,), ((1,), (2,)))
+
+    def test_a_valid_run_scores_as_before(self):
+        # agent 1 alone leaves a gap of 1 to the request
+        assert fitness((1,), (1,), ((1,), (2,))) == 0.5
+
 
 class TestParsimony:
     def test_long_member_is_penalised(self):
@@ -896,10 +913,10 @@ class TestEvolve:
             steps[-1]["changed"].update(indices)
             return indices
 
-        def step(state, config, rng, raw, known):
+        def step(population, config, rng, raw, known):
             steps.append(dict(known=known, changed=set(), scored=[]))
-            result = original_step(state, config, rng, raw, known)
-            steps[-1]["handed_on"] = result[3]
+            result = original_step(population, config, rng, raw, known)
+            steps[-1]["handed_on"] = result[2]
             return result
 
         original, original_step = evolution._score, evolution.step_generation
@@ -952,6 +969,33 @@ class TestEvolve:
         assert state.generation == stats.generation == 0
         with pytest.raises(RuntimeError, match="stepped"):
             next(generations)
+
+    def test_evolve_measures_each_generation_outside_the_step(self, monkeypatch):
+        # each measure records whether a step was running when it was called
+        stepping, measured = [False], []
+
+        def step(*args):
+            stepping[0] = True
+            try:
+                return original_step(*args)
+            finally:
+                stepping[0] = False
+
+        def measure(population):
+            measured.append(stepping[0])
+            return original_measure(population)
+
+        original_step = evolution.step_generation
+        original_measure = evolution.physical_complexity_variable
+        monkeypatch.setattr(evolution, "step_generation", step)
+        monkeypatch.setattr(evolution, "physical_complexity_variable", measure)
+        config = self.config(generations=3)
+        seeded = list(evolve(config))
+        assert measured == [False] * 4
+        measured.clear()
+        resumed = list(evolve(config, start=seeded[1][0]))
+        assert resumed == seeded[2:]
+        assert measured == [False] * len(resumed)
 
 
 def _raise_on_step(*_):

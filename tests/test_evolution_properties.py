@@ -337,20 +337,20 @@ class TestCoverageCodes:
         start = EvolutionState(0, population, random.Random(seed).getstate())
         handed = []
 
-        def recording(state, config, rng, raw, known):
-            result = original(state, config, rng, raw, known)
-            handed.append((state, raw))
-            handed.append((result[0], result[2]))
+        def recording(population, config, rng, raw, known):
+            result = original(population, config, rng, raw, known)
+            handed.append((population, raw))
+            handed.append((result[0], result[1]))
             return result
 
         original = evolution.step_generation
         with mock.patch.object(evolution, "step_generation", recording):
             list(evolve(config, start=start))
         assert len(handed) == 2 * config.generations
-        for state, raw in handed:
+        for population, raw in handed:
             assert raw == [
                 fitness(symbols, config.request, config.alphabet)
-                for symbols in state.population.members
+                for symbols in population.members
             ]
 
 
