@@ -15,11 +15,10 @@ and the efficiency is the complexity achieved per measurable site.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import add, itemgetter
 
 from .core import Population, _Record
 
@@ -75,59 +74,74 @@ def _entropy(counts: list[int], size: int, alphabet_size: int) -> float:
     return min(1.0, max(0.0, entropy))
 
 
-def _sample_sizes(rows: list, alphabet_size: int) -> Iterator[int]:
-    """Sample sizes of sites 1, 2, ... of `rows`, sorted shortest first.
+def _by_length(members) -> list[list]:
+    """The members grouped by length: the members of length L, in member
+    order, at index L, up to the longest member's group, the last."""
+    by_length: list[list] = []
+    appends: list = []  # each group's append, bound once
+    for member in members:
+        try:
+            appends[len(member)](member)
+        except IndexError:
+            # the longest member so far: open the groups up to its length
+            while len(by_length) <= len(member):
+                by_length.append([])
+                appends.append(by_length[-1].append)
+            appends[len(member)](member)
+    return by_length
 
-    The rows reaching a site are a suffix of the sorted rows, found by
-    bisection, so a size is counted only when it is asked for.  The sizes
+
+def _sample_sizes(by_length: list[list], alphabet_size: int) -> Iterator[int]:
+    """Sample sizes of sites 1, 2, ... of members grouped by length.
+
+    Each site's sample is the last site's less the members too short to
+    reach it, so a size is counted only when it is asked for.  The sizes
     stop before the first site with fewer than alphabet_size * site
     samples: sizes only shrink as that threshold grows, so they cover the
     calculable prefix.
     """
-    for site in range(1, len(rows[-1]) + 1):
-        size = len(rows) - bisect_left(rows, site, key=len)
+    size = sum(map(len, by_length))
+    for site in range(1, len(by_length)):
+        size -= len(by_length[site - 1])
         if size < alphabet_size * site:
             return
         yield size
 
 
-def _member_counts(rows: list, sizes: list[int]) -> Iterator[list[int]]:
-    """Non-zero symbol counts, in symbol order, of sites 1..len(sizes) of
-    `rows`, sorted shortest first, tallied member by member; `sizes` are
-    the sites' sample sizes."""
-    for site, size in enumerate(sizes):
-        tally = Counter(map(itemgetter(site), rows[len(rows) - size :]))
-        yield [count for _, count in sorted(tally.items())]
+def _member_counts(
+    by_length: list[list], measured: int, alphabet_size: int
+) -> Iterator[list[int]]:
+    """Non-zero symbol counts, in symbol order, of sites 1..measured of
+    members grouped by length, tallied member by member."""
+    for site in range(measured):
+        reaching = chain.from_iterable(islice(by_length, site + 1, None))
+        tally = Counter(map(itemgetter(site), reaching))
+        yield list(filter(None, map(tally.get, range(alphabet_size))))
 
 
 def _byte_column_counts(
-    rows: list, measured: int, alphabet_size: int
+    by_length: list[list], measured: int, alphabet_size: int
 ) -> Iterator[list[int]]:
     """Non-zero symbol counts, in symbol order, of sites 1..measured of
-    `rows`, sorted shortest first.
+    members grouped by length.
 
-    Every symbol fits in a byte.  Each run of rows of one length, and the
-    rows reaching past `measured` cut to it, become one byte string of
-    that width; a site's share of it is the slice at its offset with the
-    width as step, so bytes.count tallies every member of a site in C.
+    Every symbol fits in a byte.  Each group shorter than `measured`, and
+    the members reaching past it cut to it, become one byte string of that
+    width; a site's share of it is the slice at its offset with the width
+    as step, so bytes.count tallies every member of a site in C.  Each
+    site's counts add up run by run, and the byte strings go one by one.
     """
-    columns: list[list[bytes]] = [[] for _ in range(measured)]
-    start = 0
-    while start < len(rows):
-        width = len(rows[start])
-        if width < measured:
-            end = bisect_right(rows, width, start, key=len)
-            run = rows[start:end]
-        else:
-            width, end = measured, len(rows)
-            run = map(itemgetter(slice(measured)), rows[start:])
+    tallies = [[0] * alphabet_size for _ in range(measured)]
+    runs = [(width, group) for width, group in enumerate(by_length[:measured]) if group]
+    past = chain.from_iterable(by_length[measured:])
+    runs.append((measured, map(itemgetter(slice(measured)), past)))
+    for width, run in runs:
         flat = bytes(chain.from_iterable(run))
         for site in range(width):
-            columns[site].append(flat[site::width])
-        start = end
-    for slices in columns:
-        column = b"".join(slices)
-        yield [count for count in map(column.count, range(alphabet_size)) if count]
+            counts = map(flat[site::width].count, range(alphabet_size))
+            tallies[site] = list(map(add, tallies[site], counts))
+    for tally in tallies:
+        yield list(filter(None, tally))
 
 
 def physical_complexity_variable(population: Population) -> ComplexityReport:
@@ -145,13 +159,13 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
             f"member count {len(population)} is below alphabet_size "
             f"{alphabet_size}; population is too small to measure"
         )
-    rows = sorted(population.members, key=len)
-    sizes = list(_sample_sizes(rows, alphabet_size))
+    by_length = _by_length(population.members)
+    sizes = list(_sample_sizes(by_length, alphabet_size))
     few_symbols = alphabet_size <= _BYTE_COLUMNS_UP_TO
-    if few_symbols and len(rows) >= _BYTE_COLUMNS_UP_TO * alphabet_size:
-        counts = _byte_column_counts(rows, len(sizes), alphabet_size)
+    if few_symbols and len(population) >= _BYTE_COLUMNS_UP_TO * alphabet_size:
+        counts = _byte_column_counts(by_length, len(sizes), alphabet_size)
     else:
-        counts = _member_counts(rows, sizes)
+        counts = _member_counts(by_length, len(sizes), alphabet_size)
     entropies = tuple(map(_entropy, counts, sizes, repeat(alphabet_size)))
     calculable = len(sizes)
     complexity = max(0.0, calculable - sum(entropies))
@@ -160,5 +174,5 @@ def physical_complexity_variable(population: Population) -> ComplexityReport:
         per_site_entropy=entropies,
         complexity=complexity,
         efficiency=complexity / calculable,
-        max_length=len(rows[-1]),
+        max_length=len(by_length) - 1,
     )

@@ -14,7 +14,7 @@ import colorsys
 import os
 import random
 import re
-from itertools import islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from .core import _KINDS, ConfigError, Population, _Record, _digit_limit, _shown
@@ -288,23 +288,46 @@ def render_snapshot(population: Population) -> str:
     return "\n".join(lines) + "\n"
 
 
-# characters of a population file's text split into lines at a time
-_BLOCK = 1 << 16
+# bytes of a population file read, decoded and split into lines at a time;
+# a block's bytes, text and lines are held beside the rows read so far,
+# so the block is kept small
+_BLOCK = 1 << 14
+
+# the ASCII characters str.splitlines() breaks a line at
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e"
 
 
-def _lines(text: str):
-    """Yield text.splitlines(), splitting a block of about _BLOCK
-    characters at a time so that no list of every line is built.
+def _line_blocks(stream):
+    """Yield the lines str.splitlines() cuts the whole ASCII text of a
+    binary stream into, as one list for each block of _BLOCK bytes read.
 
-    read_text has already turned "\r\n" and "\r" into "\n", and no line
-    break runs past a "\n", so a block that ends just after one splits
-    into exactly the lines the whole text would.
+    A block's list ends at its last complete line break.  The line after
+    it is carried into the next block, and so is a closing "\r", which a
+    "\n" may follow.  A line longer than a block is read on in blocks as
+    long as itself, so that splitting it stays linear.  Raises ConfigError
+    on the first byte that is not ASCII, named by its offset in the input,
+    in UnicodeDecodeError's text.
     """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
+    offset = 0
+    carried = ""
+    while block := stream.read(max(_BLOCK, len(carried))):
+        try:
+            text = carried + block.decode("ascii")
+        except UnicodeDecodeError as error:
+            raise ConfigError(
+                f"'ascii' codec can't decode byte 0x{block[error.start]:02x} "
+                f"in position {offset + error.start}: {error.reason}"
+            ) from None
+        offset += len(block)
+        lines = text.splitlines()
+        if text[-1] == "\r":
+            carried = lines.pop() + "\r"
+        elif text[-1] in _LINE_BREAKS:
+            carried = ""
+        else:
+            carried = lines.pop()
+        yield lines
+    yield carried.splitlines()
 
 
 class _Symbols(dict):
@@ -315,6 +338,59 @@ class _Symbols(dict):
         return symbol
 
 
+def _header(blocks) -> tuple[int, list[str], int]:
+    """The alphabet size the first non-blank line gives, the lines after it
+    in its block, and the number of the first of them."""
+    line_number = 0
+    for lines in blocks:
+        for index, raw_line in enumerate(lines):
+            line = raw_line.strip()
+            if not line:
+                continue
+            line_number += index + 1
+            key, _, value = line.partition("=")
+            if key.strip() != "alphabet_size" or not value.strip():
+                raise ConfigError(
+                    f"line {line_number}: expected 'alphabet_size=<n>' header, "
+                    f"got {_shown(line)}"
+                )
+            header = _convert("alphabet_size", "int", value.strip(), line_number)
+            if header < 2:
+                raise ConfigError("alphabet_size must be at least 2")
+            return header, lines[index + 1 :], line_number + 1
+        line_number += len(lines)
+    raise ConfigError("population file is missing the alphabet_size header")
+
+
+def _member_rows(blocks, symbols: _Symbols) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The header and every member row of the blocks of lines, each token
+    converted through `symbols`."""
+    header, rest, line_number = _header(blocks)
+    convert = repeat(symbols.__getitem__)
+    rows: list[tuple[int, ...]] = []
+    for lines in chain([rest], blocks):
+        try:
+            # one C-level pass converts every token through the table; a
+            # blank line gives an empty tuple, which the filter drops
+            rows += filter(None, map(tuple, map(map, convert, map(str.split, lines))))
+        except ValueError:
+            # only now walk the block's lines again, to name the first one
+            # int() rejects
+            for line_number, raw_line in enumerate(lines, start=line_number):
+                for token in raw_line.split():
+                    try:
+                        int(token)
+                    except ValueError:
+                        raise ConfigError(
+                            f"line {line_number}: member rows must be "
+                            f"space-separated integers{_digit_limit(token)}, "
+                            f"got {_shown(raw_line.strip())}"
+                        ) from None
+            raise
+        line_number += len(lines)
+    return header, tuple(rows)
+
+
 def read_population_file(path) -> Population:
     """Read a population from text: an alphabet_size header plus member rows.
 
@@ -323,48 +399,22 @@ def read_population_file(path) -> Population:
     read as int() reads it.  The file records no agent attributes, and the
     population records only the alphabet size, which is all the
     complexity measures need; whether the rows can be measured under it
-    is the measure's to say.  Raises ConfigError on a malformed file or
-    an agent id outside range(alphabet_size).
+    is the measure's to say.  The input is read once, a block at a time,
+    so a pipe reads as a file does.  Raises ConfigError on a malformed
+    file, one that is not ASCII first, or an agent id outside
+    range(alphabet_size).
     """
-    text = Path(path).read_text(encoding="ascii")
-    lines = _lines(text)
-    header: int | None = None
-    for line_number, raw_line in enumerate(lines, start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        if key.strip() != "alphabet_size" or not value.strip():
-            raise ConfigError(
-                f"line {line_number}: expected 'alphabet_size=<n>' header, "
-                f"got {_shown(line)}"
-            )
-        header = _convert("alphabet_size", "int", value.strip(), line_number)
-        if header < 2:
-            raise ConfigError("alphabet_size must be at least 2")
-        break
-    if header is None:
-        raise ConfigError("population file is missing the alphabet_size header")
     symbols = _Symbols()
-    convert = repeat(symbols.__getitem__)
-    try:
-        # one C-level pass converts every token through the table; a blank
-        # line gives an empty tuple, which the filter drops
-        rows = tuple(filter(None, map(tuple, map(map, convert, map(str.split, lines)))))
-    except ValueError:
-        # only now walk the lines again, to name the first one int() rejects
-        body = islice(_lines(text), line_number, None)
-        for line_number, raw_line in enumerate(body, start=line_number + 1):
-            for token in raw_line.split():
-                try:
-                    int(token)
-                except ValueError:
-                    raise ConfigError(
-                        f"line {line_number}: member rows must be space-separated "
-                        f"integers{_digit_limit(token)}, "
-                        f"got {_shown(raw_line.strip())}"
-                    ) from None
-        raise
+    with open(path, "rb") as stream:
+        blocks = _line_blocks(stream)
+        try:
+            header, rows = _member_rows(blocks, symbols)
+        except ConfigError:
+            # a byte that is not ASCII is named before any other fault, so
+            # the rest of the input is decoded first
+            for _ in blocks:
+                pass
+            raise
     if not rows:
         raise ConfigError("population file has no member rows")
     # the table holds each distinct symbol once; only a symbol out of range

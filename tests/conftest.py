@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -24,11 +25,20 @@ def make_population(alphabet, rows):
     return Population.from_rows(len(alphabet), rows)
 
 
+def analyze_like_rows(members, seed):
+    """Rows shaped like the analyze-large benchmark file: alphabet 16,
+    99 in 100 members of lengths 1..40 and the rest of 41..80."""
+    rng = random.Random(seed)
+    lengths = [1 + i % 40 + 40 * (i < members // 100) for i in range(members)]
+    rng.shuffle(lengths)
+    return tuple(tuple(rng.choices(range(16), k=length)) for length in lengths)
+
+
 def sample_sizes(rows):
     """{site: sample size} of every site of `rows`, as the measure counts
     them: a threshold of 0 lets every site through."""
-    ordered = sorted(map(tuple, rows), key=len)
-    return dict(enumerate(complexity._sample_sizes(ordered, 0), start=1))
+    by_length = complexity._by_length(rows)
+    return dict(enumerate(complexity._sample_sizes(by_length, 0), start=1))
 
 
 def site_entropy(counts, alphabet_size):

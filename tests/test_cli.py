@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DIGIT_LIMIT, needs_digit_limit
-from evotropy import __version__, cli, evolution
+from evotropy import __version__, cli, evolution, harness
 from evotropy.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 
 GOOD_CONFIG = """\
@@ -343,6 +343,68 @@ class TestAnalyzeCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def analyze_child(population, stdin=None):
+    """`python -m evotropy.cli analyze` in a fresh interpreter, given
+    `stdin` through a pipe."""
+    return subprocess.run(
+        [sys.executable, "-m", "evotropy.cli", "analyze", "--population", population],
+        input=stdin,
+        capture_output=True,
+    )
+
+
+class TestPipedPopulation:
+    """A population piped to --population /dev/stdin reads as the same
+    bytes in a file do, past the reader's first block."""
+
+    # 2000 rows of 60 characters: several of the reader's blocks
+    ROWS = "".join(
+        " ".join(str((row + site) % 4) for site in range(30)) + "\n"
+        for row in range(2000)
+    )
+
+    def same_as_the_path(self, tmp_path, data):
+        population = tmp_path / "pop.txt"
+        population.write_bytes(data)
+        by_path = analyze_child(str(population))
+        piped = analyze_child("/dev/stdin", data)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (
+            by_path.returncode,
+            by_path.stdout,
+            by_path.stderr,
+        )
+        return piped
+
+    def test_a_valid_file(self, tmp_path):
+        data = ("alphabet_size=4\n" + self.ROWS).encode("ascii")
+        piped = self.same_as_the_path(tmp_path, data)
+        assert piped.returncode == EXIT_OK
+        assert piped.stdout.startswith(b"members: 2000\n")
+
+    def test_a_bad_row_after_the_first_block(self, tmp_path):
+        lines = ("alphabet_size=4\n" + self.ROWS).splitlines()
+        lines[1500] += " x"
+        data = ("\n".join(lines) + "\n").encode("ascii")
+        assert data.index(b" x") > harness._BLOCK
+        piped = self.same_as_the_path(tmp_path, data)
+        assert piped.returncode == EXIT_CONFIG
+        assert piped.stderr.startswith(
+            b"config error: line 1501: member rows must be space-separated integers"
+        )
+        assert piped.stderr.count(b"\n") == 1
+
+    def test_a_byte_after_the_first_block_that_is_not_ascii(self, tmp_path):
+        data = bytearray(("alphabet_size=4\n" + self.ROWS).encode("ascii"))
+        data[100_000] = 0x80
+        assert 100_000 > harness._BLOCK
+        piped = self.same_as_the_path(tmp_path, bytes(data))
+        assert piped.returncode == EXIT_CONFIG
+        assert piped.stderr == (
+            b"config error: 'ascii' codec can't decode byte 0x80 in position "
+            b"100000: ordinal not in range(128)\n"
+        )
 
 
 _FRACTIONS = st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf])

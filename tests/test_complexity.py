@@ -7,7 +7,12 @@ import tracemalloc
 import pytest
 
 import oracle
-from conftest import make_population, sample_sizes, site_entropy
+from conftest import (
+    analyze_like_rows,
+    make_population,
+    sample_sizes,
+    site_entropy,
+)
 from evotropy import (
     Population,
     complexity,
@@ -213,6 +218,19 @@ class TestPhysicalComplexityVariable:
         assert report.calculable_length == 2
         # both sites split 4:2
         assert report.complexity == pytest.approx(2.0 - 2 * H_2_TO_1_BASE2, abs=1e-12)
+
+    def test_the_measure_holds_under_16_bytes_per_member(self):
+        # members are grouped by length, not sorted, and each site's counts
+        # are tallied as they come, with no column of symbols kept
+        population = Population(analyze_like_rows(20_000, seed=13), 16)
+        tracemalloc.start()
+        try:
+            report = physical_complexity_variable(population)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.calculable_length > 30
+        assert peak < 16 * len(population)
 
 
 def counting_path_rows(shape, alphabet_size, members):

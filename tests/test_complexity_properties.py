@@ -126,10 +126,13 @@ class TestCountingPaths:
     @given(counting_populations())
     def test_both_paths_give_the_sites_counts_in_symbol_order(self, pop):
         alphabet_size, rows = pop
-        sizes = list(complexity._sample_sizes(rows, alphabet_size))
-        by_member = list(complexity._member_counts(rows, sizes))
+        by_length = complexity._by_length(rows)
+        sizes = list(complexity._sample_sizes(by_length, alphabet_size))
+        by_member = list(
+            complexity._member_counts(by_length, len(sizes), alphabet_size)
+        )
         by_column = list(
-            complexity._byte_column_counts(rows, len(sizes), alphabet_size)
+            complexity._byte_column_counts(by_length, len(sizes), alphabet_size)
         )
         assert by_member == by_column
         assert len(by_member) == len(sizes) >= 1

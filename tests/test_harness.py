@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import DIGIT_LIMIT, needs_digit_limit
+from conftest import DIGIT_LIMIT, analyze_like_rows, needs_digit_limit
 from evotropy import (
     MODES,
     STATS_HEADER,
@@ -664,6 +665,49 @@ class TestReadPopulationFile:
             tracemalloc.stop()
         assert size > 1_000_000 and len(population) == len(rows)
         assert peak - held < 1.5 * size
+
+    def test_a_byte_past_the_first_block_that_is_not_ascii_is_named(self, tmp_path):
+        rows = "".join(f"{index % 2} 1 0\n" for index in range(20_000))
+        data = bytearray(("alphabet_size=2\n" + rows).encode("ascii"))
+        data[70_000] = 0xE9
+        assert 70_000 > harness._BLOCK
+        path = tmp_path / "population.txt"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as expected:
+            bytes(data).decode("ascii")
+        with pytest.raises(ConfigError) as excinfo:
+            read_population_file(path)
+        assert str(excinfo.value) == str(expected.value)
+        assert "position 70000" in str(excinfo.value)
+
+    @pytest.mark.parametrize("start", ["alphabet_size 2\n", "alphabet_size=2\n0 x\n"])
+    def test_a_byte_that_is_not_ascii_is_named_before_an_earlier_fault(
+        self, tmp_path, start
+    ):
+        data = (start + "0 1\n" * 20_000).encode("ascii") + b"\x80\n"
+        path = tmp_path / "population.txt"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError) as excinfo:
+            read_population_file(path)
+        assert str(excinfo.value).startswith("'ascii' codec can't decode byte 0x80")
+        assert f"position {len(data) - 2}:" in str(excinfo.value)
+
+    def test_the_read_holds_its_members_and_little_more(self, tmp_path):
+        # the file is read a block at a time: beside the members it builds,
+        # the read holds neither the file's text nor a list of its lines
+        rows = analyze_like_rows(20_000, seed=11)
+        lines = ["alphabet_size=16"] + [" ".join(map(str, row)) for row in rows]
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            population = read_population_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert population.members == rows
+        members = sum(map(sys.getsizeof, population.members))
+        members += sys.getsizeof(population.members)
+        assert peak - members < path.stat().st_size / 2
 
 
 def per_token_read(path) -> Population:
