@@ -293,20 +293,18 @@ def render_snapshot(population: Population) -> str:
 # so the block is kept small
 _BLOCK = 1 << 14
 
-# the ASCII characters str.splitlines() breaks a line at
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e"
-
 
 def _line_blocks(stream):
-    """Yield the lines str.splitlines() cuts the whole ASCII text of a
-    binary stream into, as one list for each block of _BLOCK bytes read.
+    """Yield the lines str.splitlines(keepends=True) cuts the whole ASCII
+    text of a binary stream into, as one list for each block of _BLOCK
+    bytes read.
 
-    A block's list ends at its last complete line break.  The line after
-    it is carried into the next block, and so is a closing "\r", which a
-    "\n" may follow.  A line longer than a block is read on in blocks as
-    long as itself, so that splitting it stays linear.  Raises ConfigError
-    on the first byte that is not ASCII, named by its offset in the input,
-    in UnicodeDecodeError's text.
+    A block's last line, with its line end, is carried into the next block
+    and split again there, so a line cut by the block's end, "\r\n" too,
+    joins up.  A line longer than a block is read on in blocks as long as
+    itself, so that splitting it stays linear.  Raises ConfigError on the
+    first byte that is not ASCII, named by its offset in the input, in
+    UnicodeDecodeError's text.
     """
     offset = 0
     carried = ""
@@ -319,15 +317,9 @@ def _line_blocks(stream):
                 f"in position {offset + error.start}: {error.reason}"
             ) from None
         offset += len(block)
-        lines = text.splitlines()
-        if text[-1] == "\r":
-            carried = lines.pop() + "\r"
-        elif text[-1] in _LINE_BREAKS:
-            carried = ""
-        else:
-            carried = lines.pop()
+        *lines, carried = text.splitlines(keepends=True)
         yield lines
-    yield carried.splitlines()
+    yield [carried]
 
 
 class _Symbols(dict):

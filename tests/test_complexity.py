@@ -35,7 +35,7 @@ def mixed_length_population(alphabet3):
     return make_population(alphabet3, MIXED_LENGTH_ROWS)
 
 
-class TestSampleSize:
+class TestMembersReachingEachSite:
     def test_counts_members_reaching_site(self):
         sizes = sample_sizes(MIXED_LENGTH_ROWS)
         assert sizes[5] == 16
@@ -49,7 +49,7 @@ class TestSampleSize:
         assert sample_sizes(MIXED_LENGTH_ROWS)[1] == 16
 
 
-class TestSiteDistribution:
+class TestReportedSiteEntropies:
     """The symbols at one site, over the members that reach it."""
 
     def test_unanimous_site(self, alphabet2):
@@ -70,7 +70,7 @@ class TestSiteDistribution:
         assert physical_complexity_variable(population).per_site_entropy == (1.0,)
 
 
-class TestPerSiteEntropy:
+class TestEntropyOfCounts:
     """The measure's site entropy: non-zero counts in symbol order, their sum
     and the alphabet size."""
 
@@ -93,7 +93,7 @@ class TestPerSiteEntropy:
         assert base3 < base2
 
 
-class TestCalculableLength:
+class TestReportedCalculableLength:
     """The report's calculable_length, the longest measurable site prefix."""
 
     def test_mixed_length_example(self, alphabet3):
@@ -127,7 +127,7 @@ class TestCalculableLength:
         assert report.calculable_length == oracle.calculable_length(rows, 3)
 
 
-class TestPhysicalComplexityFixed:
+class TestComplexityOfEqualLengths:
     """Equal-length populations large enough to measure every site: the
     calculable-length measure reduces to length minus summed entropies."""
 

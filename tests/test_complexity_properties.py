@@ -41,7 +41,7 @@ def entropies_or_none(alphabet_size, rows):
         return None
 
 
-class TestSampleSize:
+class TestMembersReachingEachSite:
     @given(populations())
     def test_never_increases_with_site(self, pop):
         alphabet_size, rows = pop
@@ -152,7 +152,7 @@ def measured_length(alphabet_size, rows):
     return report.calculable_length
 
 
-class TestCalculableLength:
+class TestReportedCalculableLength:
     @given(populations())
     def test_bounded_by_max_length(self, pop):
         alphabet_size, rows = pop

@@ -25,7 +25,7 @@ def world(alphabet=((0,), (1,)), request=(0,)):
     return EvolutionConfig(request=request, alphabet=alphabet, rng_seed=0)
 
 
-class TestAgent:
+class TestAgentTuples:
     """An agent is the tuple of its attribute values, at its id's index."""
 
     def test_list_attributes_come_back_as_tuples(self):
@@ -44,7 +44,7 @@ class TestAgent:
             config.alphabet = ((1,), (0,))
 
 
-class TestAlphabet:
+class TestAlphabetSize:
     def test_size(self):
         # the number of agents is the size every population is drawn over
         config = EvolutionConfig(
@@ -167,7 +167,7 @@ class TestPopulation:
         assert len(population) == 3
 
 
-class TestUserRequest:
+class TestRequestTuple:
     def test_rejects_empty(self):
         with pytest.raises(
             ValueError, match="^request must name at least one attribute value$"

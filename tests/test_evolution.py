@@ -340,7 +340,7 @@ class TestMutate:
         )
 
 
-class TestTargetPopulationSize:
+class TestNextGenerationSize:
     """A step selects max(population_floor, ceil(D * the parents' mean
     length)) members."""
 
@@ -533,7 +533,7 @@ def stepped(config, state):
     return next(evolve(config, start=state))
 
 
-class TestStepGeneration:
+class TestNextGeneration:
     def perfect_config(self, **overrides):
         # members spelling (0, 1) pool attributes {3, 5} and match exactly
         alphabet = make_alphabet(2, [(3,), (5,)])
@@ -745,7 +745,7 @@ def snapshot_files(*generations):
     ]
 
 
-class TestRun:
+class TestWholeRuns:
     def quick_config(self, **overrides):
         alphabet = make_alphabet(2, [(3,), (5,)])
         defaults = dict(

@@ -29,6 +29,7 @@ from evotropy import (
     fitness,
     mutate,
     parsimony_adjusted_fitness,
+    physical_complexity_variable,
     rand_below,
     rand_int,
     sample_indices,
@@ -63,6 +64,15 @@ def sequence_pairs(draw):
     return alphabet_size, tuple(first), tuple(second)
 
 
+@st.composite
+def measurable_populations(draw):
+    """An alphabet size and at least as many rows, which the measure reports on."""
+    alphabet_size = draw(st.integers(min_value=2, max_value=8))
+    symbols = st.integers(min_value=0, max_value=alphabet_size - 1)
+    row = st.lists(symbols, min_size=1, max_size=12).map(tuple)
+    return alphabet_size, draw(st.lists(row, min_size=alphabet_size, max_size=40))
+
+
 class TestCrossoverInvariants:
     @given(sequence_pairs(), seeds)
     def test_children_are_never_empty(self, pair, seed):
@@ -90,6 +100,34 @@ class TestCrossoverInvariants:
         assert sorted((len(child1), len(child2))) == sorted(
             (len(parent1), len(parent2))
         )
+
+    @given(sequence_pairs(), seeds)
+    def test_each_site_keeps_its_symbol_counts(self, pair, seed):
+        # the cut is shared, so each tail moves at the same site indices
+        _, parent1, parent2 = pair
+        children = crossover_pair(parent1, parent2, random.Random(seed))
+
+        def site_counts(members):
+            return Counter(
+                (site, symbol) for member in members for site, symbol in enumerate(member)
+            )
+
+        assert site_counts(children) == site_counts((parent1, parent2))
+
+    @given(measurable_populations(), seeds)
+    def test_crossing_disjoint_pairs_leaves_the_measure_equal(self, world, seed):
+        alphabet_size, rows = world
+        rng = random.Random(seed)
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        crossed = list(rows)
+        for first, second in zip(order[::2], order[1::2]):
+            crossed[first], crossed[second] = crossover_pair(
+                rows[first], rows[second], rng
+            )
+        before = physical_complexity_variable(Population.from_rows(alphabet_size, rows))
+        after = physical_complexity_variable(Population.from_rows(alphabet_size, crossed))
+        assert after == before
 
 
 class TestMutationInvariants:
