@@ -454,9 +454,8 @@ def step_generation(
     config: EvolutionConfig,
     rng: random.Random,
     raw: list[float],
-    known: dict,
-) -> tuple[Population, list[float], dict]:
-    """The population of the next generation, with its raw fitness.
+) -> tuple[Population, list[int], list[int]]:
+    """The population of the next generation, with how the step made it.
 
     The order is fixed: survival draws to the dynamic target size (roulette
     selection on raw fitness, parsimony-adjusted against the current mean
@@ -465,13 +464,13 @@ def step_generation(
     slice of the survivors, then single point mutations on a random slice
     of the result (crossover children included).
 
-    `rng` is the run's live Random, `raw` the raw fitness of each member
-    of `population`, and `known` the table the last step scored by (see
-    _rescore).  Each survivor carries the raw fitness of the member it was
-    drawn as; only the positions crossover and mutation changed are scored
-    again.  Returns the new population, its raw fitness and the step's own
-    table, for the next step.  evolve, the one caller, checks `population`
-    against config.alphabet, and numbers and measures what the step makes.
+    `rng` is the run's live Random and `raw` the raw fitness of each member
+    of `population`.  Returns the new population, `drawn`, the index in
+    population.members of the member each new position was drawn as, and
+    `changed`, the positions crossover and mutation rewrote: every other
+    position i holds population.members[drawn[i]].  evolve, the one
+    caller, checks `population` against config.alphabet, and scores,
+    numbers and measures what the step makes.
     """
     alphabet = config.alphabet
     size = len(alphabet)
@@ -490,7 +489,6 @@ def step_generation(
         # a wheel of flat weights lands where rand_below does, draw for draw
         drawn = [rand_below(rng, len(members)) for _ in range(target)]
     survivors = list(map(members.__getitem__, drawn))
-    next_raw = list(map(raw.__getitem__, drawn))
 
     paired = int(config.crossover_fraction * len(survivors))
     paired -= paired % 2
@@ -504,9 +502,8 @@ def step_generation(
     varied = sample_indices(rng, len(survivors), mutated)
     for index in varied:
         survivors[index] = mutate(survivors[index], alphabet, rng)
-    table = _rescore(next_raw, survivors, picks + varied, config, known)
 
-    return Population._trusted(tuple(survivors), size), next_raw, table
+    return Population._trusted(tuple(survivors), size), drawn, picks + varied
 
 
 def evolve(
@@ -564,9 +561,11 @@ def evolve(
         parents = raw
         if generation:
             # module-global lookups, so wrappers see each generation
-            population, raw, known = step_generation(
-                population, config, rng, raw, known
-            )
+            population, drawn, changed = step_generation(population, config, rng, raw)
+            # survivors keep their draws' raw fitness; only changed ones are rescored
+            raw = list(map(raw.__getitem__, drawn))
+            known = _rescore(raw, population.members, changed, config, known)
+            del drawn, changed
         # never unmeasurable: check_settings keeps population_floor >= the pool size
         report = physical_complexity_variable(population)
         yield EvolutionState(generation, population, rng.getstate()), GenerationStats(

@@ -896,10 +896,10 @@ class TestEvolve:
         # agent 3 covers what agents 0 and 2 cover together, so members
         # over different agents share a coverage code
         config = self.config(alphabet=make_alphabet(4, [(3,), (5,), (7,), (3, 7)]))
-        # per step: the table handed in, the positions sample_indices drew,
-        # the members _score ran on and the table handed on; seeding scores
-        # every position of generation 0 from an empty table
-        steps = [dict(known={}, changed=set(range(config.population_floor)), scored=[])]
+        # per generation: the positions the step returned as changed, the
+        # table handed to _rescore, the members _score ran on and the table
+        # _rescore handed on; seeding scores every position of generation 0
+        steps = [dict(changed=set(range(config.population_floor)), scored=[])]
 
         def code(symbols):
             return reduce(or_, map(config.codes.__getitem__, symbols))
@@ -908,25 +908,27 @@ class TestEvolve:
             steps[-1]["scored"].append(symbols)
             return original(symbols, gaps)
 
-        def sampling(*args):
-            indices = original_sample(*args)
-            steps[-1]["changed"].update(indices)
-            return indices
-
-        def step(population, config, rng, raw, known):
-            steps.append(dict(known=known, changed=set(), scored=[]))
-            result = original_step(population, config, rng, raw, known)
-            steps[-1]["handed_on"] = result[2]
+        def step(population, config, rng, raw):
+            result = original_step(population, config, rng, raw)
+            steps.append(dict(changed=set(result[2]), scored=[]))
             return result
 
+        def rescore(raw, members, positions, config, known):
+            table = original_rescore(raw, members, positions, config, known)
+            steps[-1].update(known=known, handed_on=table)
+            return table
+
         original, original_step = evolution._score, evolution.step_generation
-        original_sample = evolution.sample_indices
+        original_rescore = evolution._rescore
         monkeypatch.setattr(evolution, "_score", counting)
-        monkeypatch.setattr(evolution, "sample_indices", sampling)
         monkeypatch.setattr(evolution, "step_generation", step)
+        monkeypatch.setattr(evolution, "_rescore", rescore)
         populations = [state.population for state, _ in evolve(config)]
-        steps[0]["handed_on"] = steps[1]["known"]
         assert len(steps) == len(populations) == config.generations + 1
+        # seeding starts from an empty table; each step gets the last one's
+        assert steps[0]["known"] == {}
+        for before, after in zip(steps, steps[1:]):
+            assert after["known"] is before["handed_on"]
         shared = False  # whether changed members over other agents share a code
         for made, spent in zip(populations, steps):
             members = made.members

@@ -373,22 +373,31 @@ class TestCoverageCodes:
         )
         population = Population(members, len(config.alphabet))
         start = EvolutionState(0, population, random.Random(seed).getstate())
-        handed = []
+        # the (population, raw fitness) pairs each step was handed, and
+        # those evolve carried after scoring each population, the last included
+        handed, carried = [], []
 
-        def recording(population, config, rng, raw, known):
-            result = original(population, config, rng, raw, known)
-            handed.append((population, raw))
-            handed.append((result[0], result[1]))
-            return result
+        def recording(population, config, rng, raw):
+            handed.append((population.members, raw))
+            return original(population, config, rng, raw)
 
-        original = evolution.step_generation
+        def rescoring(raw, members, positions, config, known):
+            table = original_rescore(raw, members, positions, config, known)
+            carried.append((members, raw))
+            return table
+
+        original, original_rescore = evolution.step_generation, evolution._rescore
         with mock.patch.object(evolution, "step_generation", recording):
-            list(evolve(config, start=start))
-        assert len(handed) == 2 * config.generations
-        for population, raw in handed:
+            with mock.patch.object(evolution, "_rescore", rescoring):
+                list(evolve(config, start=start))
+        assert len(handed) == config.generations
+        assert len(carried) == config.generations + 1
+        # each step is handed the very list evolve carried for its parents
+        for (members, raw), (scored, kept) in zip(handed, carried):
+            assert members is scored and raw is kept
+        for members, raw in carried:
             assert raw == [
-                fitness(symbols, config.request, config.alphabet)
-                for symbols in population.members
+                fitness(symbols, config.request, config.alphabet) for symbols in members
             ]
 
 
@@ -514,6 +523,29 @@ class TestLoopBuildsValidPopulations:
             assert low <= len(member) <= high
             assert all(type(symbol) is int for symbol in member)
             assert all(0 <= symbol < pool_size for symbol in member)
+
+
+class TestStepReportsItsDraws:
+    @given(small_configs())
+    def test_unchanged_positions_hold_the_member_they_were_drawn_as(self, config):
+        # evolve carries raw fitness by `drawn` and rescores only `changed`
+        steps = []
+
+        def recording(population, config, rng, raw):
+            result = original(population, config, rng, raw)
+            steps.append((population, *result))
+            return result
+
+        original = evolution.step_generation
+        with mock.patch.object(evolution, "step_generation", recording):
+            list(evolve(config))
+        assert len(steps) == config.generations
+        for parents, made, drawn, changed in steps:
+            assert len(drawn) == len(made)
+            assert all(0 <= i < len(parents) for i in drawn)
+            assert all(0 <= i < len(made) for i in changed)
+            for i in set(range(len(made))) - set(changed):
+                assert made.members[i] == parents.members[drawn[i]]
 
 
 class TestLoopMeasuresEveryGeneration:
