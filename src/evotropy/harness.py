@@ -14,7 +14,7 @@ import colorsys
 import os
 import random
 import re
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 from .core import _KINDS, ConfigError, Population, _Record, _digit_limit, _shown
@@ -47,7 +47,7 @@ STATS_HEADER = ",".join(GenerationStats.__annotations__)
 # the padding pixel, as P3 text
 WHITE = "255 255 255"
 
-_ARTIFACT = re.compile(r"stats\.csv|snap_[0-9]+\.(txt|ppm)")
+_ARTIFACT = re.compile(r"(stats\.csv|snap_[0-9]+\.(txt|ppm))(\.tmp)?")
 
 
 class RunConfig(_Record):
@@ -295,9 +295,9 @@ _BLOCK = 1 << 14
 
 
 def _line_blocks(stream):
-    """Yield the lines str.splitlines(keepends=True) cuts the whole ASCII
-    text of a binary stream into, as one list for each block of _BLOCK
-    bytes read.
+    """Yield (number, lines) for each block of _BLOCK bytes of a binary
+    stream read: the lines str.splitlines(keepends=True) cuts the whole
+    ASCII text into, and the number of the first of them.
 
     A block's last line, with its line end, is carried into the next block
     and split again there, so a line cut by the block's end, "\r\n" too,
@@ -307,6 +307,7 @@ def _line_blocks(stream):
     UnicodeDecodeError's text.
     """
     offset = 0
+    number = 1
     carried = ""
     while block := stream.read(max(_BLOCK, len(carried))):
         try:
@@ -318,8 +319,9 @@ def _line_blocks(stream):
             ) from None
         offset += len(block)
         *lines, carried = text.splitlines(keepends=True)
-        yield lines
-    yield [carried]
+        yield number, lines
+        number += len(lines)
+    yield number, [carried]
 
 
 class _Symbols(dict):
@@ -330,37 +332,33 @@ class _Symbols(dict):
         return symbol
 
 
-def _header(blocks) -> tuple[int, list[str], int]:
-    """The alphabet size the first non-blank line gives, the lines after it
-    in its block, and the number of the first of them."""
-    line_number = 0
-    for lines in blocks:
-        for index, raw_line in enumerate(lines):
-            line = raw_line.strip()
-            if not line:
-                continue
-            line_number += index + 1
-            key, _, value = line.partition("=")
-            if key.strip() != "alphabet_size" or not value.strip():
-                raise ConfigError(
-                    f"line {line_number}: expected 'alphabet_size=<n>' header, "
-                    f"got {_shown(line)}"
-                )
-            header = _convert("alphabet_size", "int", value.strip(), line_number)
-            if header < 2:
-                raise ConfigError("alphabet_size must be at least 2")
-            return header, lines[index + 1 :], line_number + 1
-        line_number += len(lines)
-    raise ConfigError("population file is missing the alphabet_size header")
+def _header(line: str, line_number: int) -> int:
+    """The alphabet size the header line gives."""
+    key, _, value = line.partition("=")
+    if key.strip() != "alphabet_size" or not value.strip():
+        raise ConfigError(
+            f"line {line_number}: expected 'alphabet_size=<n>' header, "
+            f"got {_shown(line)}"
+        )
+    header = _convert("alphabet_size", "int", value.strip(), line_number)
+    if header < 2:
+        raise ConfigError("alphabet_size must be at least 2")
+    return header
 
 
 def _member_rows(blocks, symbols: _Symbols) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The header and every member row of the blocks of lines, each token
-    converted through `symbols`."""
-    header, rest, line_number = _header(blocks)
+    """The header the first non-blank line gives and every member row after it."""
+    header = 0
     convert = repeat(symbols.__getitem__)
     rows: list[tuple[int, ...]] = []
-    for lines in chain([rest], blocks):
+    for number, lines in blocks:
+        if not header:
+            for index, raw_line in enumerate(lines):
+                if line := raw_line.strip():
+                    header = _header(line, number + index)
+                    number += index + 1
+                    lines = lines[index + 1 :]
+                    break
         try:
             # one C-level pass converts every token through the table; a
             # blank line gives an empty tuple, which the filter drops
@@ -368,7 +366,7 @@ def _member_rows(blocks, symbols: _Symbols) -> tuple[int, tuple[tuple[int, ...],
         except ValueError:
             # only now walk the block's lines again, to name the first one
             # int() rejects
-            for line_number, raw_line in enumerate(lines, start=line_number):
+            for line_number, raw_line in enumerate(lines, start=number):
                 for token in raw_line.split():
                     try:
                         int(token)
@@ -379,7 +377,8 @@ def _member_rows(blocks, symbols: _Symbols) -> tuple[int, tuple[tuple[int, ...],
                             f"got {_shown(raw_line.strip())}"
                         ) from None
             raise
-        line_number += len(lines)
+    if not header:
+        raise ConfigError("population file is missing the alphabet_size header")
     return header, tuple(rows)
 
 
@@ -435,8 +434,8 @@ def run_experiment(config: RunConfig) -> list[GenerationStats]:
     generations (0: never) and at the last, as each generation is made,
     then stats.csv, each file replaced whole.  Its first file in place,
     it deletes an earlier run's stats.csv and snap_<digits>.txt and .ppm
-    files, and no other file.  Writes nothing to stdout; returns the
-    stats rows.
+    files, and their .tmp files, and no other file.  Writes nothing to
+    stdout; returns the stats rows.
     """
     evolution_config = build_evolution_config(config)
     directory = Path(config.output_dir)

@@ -852,11 +852,20 @@ class TestReaderAcrossBlocks:
             assert len(text) > 2 * harness._BLOCK
             same_outcome(text)
 
-    @pytest.mark.parametrize("header", ["alphabet_size=4", "alphabet_size 4"])
+    # a bad row right after the header is named by the line the header's
+    # block counts from
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("alphabet_size=4", "0 1"),
+            ("alphabet_size 4", "0 1"),
+            ("alphabet_size=4", "0 x"),
+        ],
+    )
     @pytest.mark.parametrize("end", LINE_BREAKS)
-    def test_a_header_in_a_later_block(self, end, header):
+    def test_a_header_in_a_later_block(self, end, header, row):
         blank = (" " * 60 + "\n") * (harness._BLOCK // 61 + 1)
-        same_outcome(blank + blank + header + end + "0 1" + end + "2 3\n")
+        same_outcome(blank + blank + header + end + row + end + "2 3\n")
 
 
 def small_config(**overrides):
@@ -970,6 +979,22 @@ class TestRunExperiment:
         for name in snapshots:
             assert (shared / name).read_bytes() == (clean / name).read_bytes()
         assert (shared / "snap_x.txt").read_text(encoding="ascii") == "kept\n"
+
+    def test_a_killed_write_s_temporary_files_go_with_the_earlier_run(
+        self, tmp_path, capsys
+    ):
+        # a write killed between its .tmp file and the rename leaves the .tmp
+        left = ["snap_3.txt", "snap_3.txt.tmp", "stats.csv.tmp", "snap_0.ppm.tmp"]
+        kept = ["notes.tmp", "snap_x.txt.tmp"]
+        for name in left + kept:
+            (tmp_path / name).write_text("earlier\n", encoding="ascii")
+        run_experiment(
+            small_config(generations=2, snapshot_every=1, output_dir=str(tmp_path))
+        )
+        snapshots = [f"snap_{n}.{kind}" for n in range(3) for kind in ("txt", "ppm")]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            snapshots + ["stats.csv"] + kept
+        )
 
     def test_a_rerun_replaces_the_earlier_run_s_artifacts(self, tmp_path, capsys):
         run_experiment(small_config(generations=6, output_dir=str(tmp_path / "a")))
