@@ -90,9 +90,10 @@ class EvolutionConfig(_Record):
     changes, so the two modes isolate exactly the effect of selection
     pressure.
     `gaps`, the fitness gap table of the run, and `codes`, each agent's
-    coverage code read from it, are built with the config; derived from
-    the fields, they are not among them, so they stay out of equality,
-    hashing and repr, while pickling and copying carry them over as stored.
+    coverage code read from it, are built with the config as tuples, which
+    no later edit can change; derived from the fields, they are not among
+    them, so they stay out of equality, hashing and repr, while pickling
+    and copying carry them over as stored.
     """
 
     request: tuple[int, ...]
@@ -247,15 +248,15 @@ class GenerationStats(_Record):
 
 def _gap_table(
     request: tuple[int, ...], alphabet: tuple[tuple[int, ...], ...]
-) -> list[list[int]]:
+) -> tuple[tuple[int, ...], ...]:
     """gap[a][j]: distance from request value j to agent a's closest attribute."""
-    return [
-        [min(abs(wanted - value) for value in attributes) for wanted in request]
+    return tuple(
+        tuple(min(abs(wanted - value) for value in attributes) for wanted in request)
         for attributes in alphabet
-    ]
+    )
 
 
-def _score(symbols: tuple[int, ...], gaps: list[list[int]]) -> float:
+def _score(symbols: tuple[int, ...], gaps: tuple[tuple[int, ...], ...]) -> float:
     """Fitness of a symbol run, read from a gap table.
 
     The closest pooled value to each request value is the closest value
@@ -267,7 +268,7 @@ def _score(symbols: tuple[int, ...], gaps: list[list[int]]) -> float:
     return 1.0 / (1.0 + sum(map(min, rows[0], *rows)))
 
 
-def _coverage_codes(gaps: list[list[int]]) -> list[int]:
+def _coverage_codes(gaps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Each agent's coverage code, one int read from the gap table.
 
     Column j of the table gets a block of bits, one per distinct gap in
@@ -282,7 +283,7 @@ def _coverage_codes(gaps: list[list[int]]) -> list[int]:
         for agent, gap in enumerate(column):
             codes[agent] |= ((1 << len(ranks)) - (1 << ranks[gap])) << shift
         shift += len(ranks)
-    return codes
+    return tuple(codes)
 
 
 def _rescore(
@@ -299,7 +300,8 @@ def _rescore(
     before, and _score runs only for a code neither holds.  Returns this
     call's table, the code of each position it scored and its score.
     """
-    codes, gaps, table = config.codes, config.gaps, {}
+    # a list's bound __getitem__ is a cheaper call than a tuple's
+    codes, gaps, table = list(config.codes), config.gaps, {}
     for i in positions:
         symbols = members[i]
         code = reduce(or_, map(codes.__getitem__, symbols))

@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -74,6 +76,27 @@ class TestRunCommand:
             "",
         )
 
+    @pytest.mark.parametrize("seed", [42, 23])
+    def test_snapshots_read_back_to_their_stats_rows(self, tmp_path, capsys, seed):
+        # a snapshot has no header, so the pool size's goes in front of it
+        text = f"rng_seed = {seed}\ngenerations = 3\nsnapshot_every = 1\n"
+        config = write(tmp_path, "run.cfg", text)
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(config), "--output-dir", str(out_dir)]) == 0
+        stats = (out_dir / "stats.csv").read_text(encoding="ascii").splitlines()
+        columns = stats[0].split(",")
+        for generation in (0, 3):
+            row = dict(zip(columns, stats[1 + generation].split(",")))
+            snapshot = (out_dir / f"snap_{generation}.txt").read_text(encoding="ascii")
+            header = f"alphabet_size={harness.RunConfig.pool_size}\n"
+            population = write(tmp_path, "pop.txt", header + snapshot)
+            capsys.readouterr()
+            assert main(["analyze", "--population", str(population)]) == EXIT_OK
+            printed = capsys.readouterr().out.splitlines()
+            report = dict(line.split(": ") for line in printed)
+            for key in ("calculable_length", "complexity", "efficiency"):
+                assert report[key] == row[key]
+
     def test_missing_config_file_is_an_io_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert code == EXIT_IO
@@ -83,7 +106,9 @@ class TestRunCommand:
         config = write(tmp_path, "bad.cfg", "rng_seed = 1\nmode = magic\n")
         code = main(["run", "--config", str(config)])
         assert code == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("config error: mode ")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
     def test_non_finite_parsimony_is_a_config_error(self, tmp_path, capsys, value):
@@ -302,6 +327,9 @@ class TestAnalyzeCommand:
     def test_missing_population_file_is_an_io_error(self, tmp_path, capsys):
         code = main(["analyze", "--population", str(tmp_path / "absent.txt")])
         assert code == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("i/o error: ")
 
     def test_malformed_population_file_is_a_config_error(self, tmp_path, capsys):
         population = write(tmp_path, "pop.txt", "0 1\n")
@@ -645,22 +673,25 @@ class TestColdStart:
 
 
 class TestInstalledEntryPoint:
-    def test_console_script_runs(self, tmp_path):
-        config = write(tmp_path, "run.cfg", GOOD_CONFIG)
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "evotropy.cli",
-                "run",
-                "--config",
-                str(config),
-                "--output-dir",
-                str(tmp_path / "out"),
-            ],
-            capture_output=True,
-            text=True,
+    def test_console_script_runs(self, tmp_path, capsys, monkeypatch):
+        # the target pip installs as `evotropy`; 3.10 has no tomllib
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = re.search(
+            r'^\[project\.scripts\]\nevotropy = "([\w.]+):(\w+)"$',
+            pyproject.read_text(encoding="utf-8"),
+            re.MULTILINE,
         )
-        assert result.returncode == EXIT_OK
-        assert "final_max_fitness:" in result.stdout
-        assert (tmp_path / "out" / "stats.csv").exists()
+        assert declared, "pyproject.toml declares no evotropy console script"
+        module, function = declared.groups()
+        script = getattr(importlib.import_module(module), function)
+        config = write(tmp_path, "run.cfg", GOOD_CONFIG)
+        out_dir = tmp_path / "out"
+        # the generated script calls it with no arguments, as sys.exit(main())
+        monkeypatch.setattr(
+            sys,
+            "argv",
+            ["evotropy", "run", "--config", str(config), "--output-dir", str(out_dir)],
+        )
+        assert script() == EXIT_OK
+        assert "final_max_fitness:" in capsys.readouterr().out
+        assert (out_dir / "stats.csv").exists()

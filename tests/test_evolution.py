@@ -457,16 +457,27 @@ class TestConfigAndState:
 
     def test_gap_table_is_kept_out_of_eq_hash_repr(self):
         config = self.config()
-        assert config.gaps == [[0, 2], [2, 0]]
+        assert config.gaps == ((0, 2), (2, 0))
         assert config == self.config() and hash(config) == hash(self.config())
         assert "gaps" not in repr(config) and "codes" not in repr(config)
+        # equality cannot see them, so no edit may change what a run scores
+        with pytest.raises(TypeError):
+            config.gaps[0][0] = 50
+        with pytest.raises(TypeError):
+            config.gaps[1] = (0, 0)
+        with pytest.raises(TypeError):
+            config.codes[0] = 0
 
     def test_gap_table_survives_pickle_and_copy(self):
         config = self.config()
         for twin in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
-            assert twin.gaps == config.gaps == [[0, 2], [2, 0]]
+            assert twin.gaps == config.gaps == ((0, 2), (2, 0))
             # one block per request value, ranks 0 and 1: bits 0b11 and 0b10
-            assert twin.codes == config.codes == [0b1011, 0b1110]
+            assert twin.codes == config.codes == (0b1011, 0b1110)
+            with pytest.raises(TypeError):
+                twin.gaps[0][0] = 50
+            with pytest.raises(TypeError):
+                twin.codes[0] = 0
 
     def test_rejects_floor_below_alphabet_size(self):
         with pytest.raises(ValueError):

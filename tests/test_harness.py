@@ -859,6 +859,7 @@ class TestReaderAcrossBlocks:
         [
             ("alphabet_size=4", "0 1"),
             ("alphabet_size 4", "0 1"),
+            ("alphabet_size=x", "0 1"),
             ("alphabet_size=4", "0 x"),
         ],
     )
