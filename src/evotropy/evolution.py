@@ -89,11 +89,6 @@ class EvolutionConfig(_Record):
     and an equal-probability baseline; nothing else in the pipeline
     changes, so the two modes isolate exactly the effect of selection
     pressure.
-    `gaps`, the fitness gap table of the run, and `codes`, each agent's
-    coverage code read from it, are built with the config as tuples, which
-    no later edit can change; derived from the fields, they are not among
-    them, so they stay out of equality, hashing and repr, while pickling
-    and copying carry them over as stored.
     """
 
     request: tuple[int, ...]
@@ -123,9 +118,7 @@ class EvolutionConfig(_Record):
             raise ValueError("agent must carry at least one attribute value")
         if not request:
             raise ValueError("request must name at least one attribute value")
-        object.__setattr__(self, "gaps", _gap_table(request, alphabet))
-        object.__setattr__(self, "codes", _coverage_codes(self.gaps))
-        check_settings(self, len(alphabet), self.gaps)
+        check_settings(self, len(alphabet), _gap_table(request, alphabet))
 
 
 def _check_weight_floor(settings, gaps, longest: int) -> None:
@@ -268,7 +261,7 @@ def _score(symbols: tuple[int, ...], gaps: tuple[tuple[int, ...], ...]) -> float
     return 1.0 / (1.0 + sum(map(min, rows[0], *rows)))
 
 
-def _coverage_codes(gaps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _coverage_codes(gaps: tuple[tuple[int, ...], ...]) -> list[int]:
     """Each agent's coverage code, one int read from the gap table.
 
     Column j of the table gets a block of bits, one per distinct gap in
@@ -283,25 +276,26 @@ def _coverage_codes(gaps: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         for agent, gap in enumerate(column):
             codes[agent] |= ((1 << len(ranks)) - (1 << ranks[gap])) << shift
         shift += len(ranks)
-    return tuple(codes)
+    return codes
 
 
 def _rescore(
     raw: list[float],
     members: Sequence[tuple[int, ...]],
     positions: Iterable[int],
-    config: EvolutionConfig,
+    codes: list[int],
+    gaps: tuple[tuple[int, ...], ...],
     known: dict,
 ) -> dict:
     """Set raw[i] to the fitness of members[i] for each i in `positions`.
 
     A member is looked up by its coverage code, the OR of its agents'
-    codes: in this call's table, then in `known`, the table of the call
-    before, and _score runs only for a code neither holds.  Returns this
-    call's table, the code of each position it scored and its score.
+    `codes`: in this call's table, then in `known`, the table of the call
+    before, and _score runs on the gap table `gaps` only for a code
+    neither holds.  Returns this call's table, the code of each position
+    it scored and its score.
     """
-    # a list's bound __getitem__ is a cheaper call than a tuple's
-    codes, gaps, table = list(config.codes), config.gaps, {}
+    table = {}
     for i in positions:
         symbols = members[i]
         code = reduce(or_, map(codes.__getitem__, symbols))
@@ -527,6 +521,8 @@ def evolve(
     normal floats.
     """
     size = len(config.alphabet)
+    gaps = _gap_table(config.request, config.alphabet)
+    codes = _coverage_codes(gaps)
     # the loop builds every population unchecked: generation 0 draws
     # population_floor >= 2 non-empty members, every symbol below
     # alphabet_size, and each step keeps at least as many, each drawn from
@@ -546,7 +542,7 @@ def evolve(
             raise ValueError("the start's population is not over the config's alphabet")
         # a hand-built start may hold members longer than the config's floor covers
         longest = max(map(len, population.members)) - start.generation
-        _check_weight_floor(config, config.gaps, max(longest, INITIAL_LENGTH_RANGE[1]))
+        _check_weight_floor(config, gaps, max(longest, INITIAL_LENGTH_RANGE[1]))
         rng = random.Random()
         try:
             rng.setstate(start.rng_state)
@@ -557,7 +553,7 @@ def evolve(
         first = start.generation + 1
     # the first population is scored member by member, from an empty table
     raw = [0.0] * len(population)
-    known = _rescore(raw, population.members, range(len(raw)), config, {})
+    known = _rescore(raw, population.members, range(len(raw)), codes, gaps, {})
     # generation 0 alone is seeded, not stepped: a start yields from after it
     for generation in range(first, config.generations + 1):
         parents = raw
@@ -566,7 +562,7 @@ def evolve(
             population, drawn, changed = step_generation(population, config, rng, raw)
             # survivors keep their draws' raw fitness; only changed ones are rescored
             raw = list(map(raw.__getitem__, drawn))
-            known = _rescore(raw, population.members, changed, config, known)
+            known = _rescore(raw, population.members, changed, codes, gaps, known)
             del drawn, changed
         # never unmeasurable: check_settings keeps population_floor >= the pool size
         report = physical_complexity_variable(population)

@@ -19,6 +19,7 @@ from evotropy import (
     GenerationStats,
     Population,
     UnmeasurablePopulationError,
+    build_evolution_config,
     crossover_pair,
     evolution,
     evolve,
@@ -455,29 +456,19 @@ class TestConfigAndState:
                 alphabet=alphabet, request=(10**308,) * 2, mode="nondiscriminating"
             )
 
-    def test_gap_table_is_kept_out_of_eq_hash_repr(self):
-        config = self.config()
-        assert config.gaps == ((0, 2), (2, 0))
-        assert config == self.config() and hash(config) == hash(self.config())
-        assert "gaps" not in repr(config) and "codes" not in repr(config)
-        # equality cannot see them, so no edit may change what a run scores
-        with pytest.raises(TypeError):
-            config.gaps[0][0] = 50
-        with pytest.raises(TypeError):
-            config.gaps[1] = (0, 0)
-        with pytest.raises(TypeError):
-            config.codes[0] = 0
-
-    def test_gap_table_survives_pickle_and_copy(self):
-        config = self.config()
-        for twin in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
-            assert twin.gaps == config.gaps == ((0, 2), (2, 0))
-            # one block per request value, ranks 0 and 1: bits 0b11 and 0b10
-            assert twin.codes == config.codes == (0b1011, 0b1110)
-            with pytest.raises(TypeError):
-                twin.gaps[0][0] = 50
-            with pytest.raises(TypeError):
-                twin.codes[0] = 0
+    @pytest.mark.parametrize("world", ["two agents", "seed-42 default"])
+    def test_a_pickled_or_copied_config_runs_as_the_original(self, world):
+        if world == "two agents":
+            config = self.config()
+        else:
+            config = build_evolution_config(RunConfig(rng_seed=42))
+        expected = list(evolve(config))
+        for twin in (
+            pickle.loads(pickle.dumps(config)),
+            copy.copy(config),
+            copy.deepcopy(config),
+        ):
+            assert list(evolve(twin)) == expected
 
     def test_rejects_floor_below_alphabet_size(self):
         with pytest.raises(ValueError):
@@ -912,8 +903,12 @@ class TestEvolve:
         # _rescore handed on; seeding scores every position of generation 0
         steps = [dict(changed=set(range(config.population_floor)), scored=[])]
 
+        codes = evolution._coverage_codes(
+            evolution._gap_table(config.request, config.alphabet)
+        )
+
         def code(symbols):
-            return reduce(or_, map(config.codes.__getitem__, symbols))
+            return reduce(or_, map(codes.__getitem__, symbols))
 
         def counting(symbols, gaps):
             steps[-1]["scored"].append(symbols)
@@ -924,8 +919,8 @@ class TestEvolve:
             steps.append(dict(changed=set(result[2]), scored=[]))
             return result
 
-        def rescore(raw, members, positions, config, known):
-            table = original_rescore(raw, members, positions, config, known)
+        def rescore(raw, members, positions, codes, gaps, known):
+            table = original_rescore(raw, members, positions, codes, gaps, known)
             steps[-1].update(known=known, handed_on=table)
             return table
 

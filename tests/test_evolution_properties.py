@@ -322,31 +322,39 @@ def coded_worlds(draw):
     return config, [(agent,) for agent in range(len(pools))] + list(map(tuple, drawn))
 
 
-def code_of(config, agents):
-    return reduce(or_, map(config.codes.__getitem__, agents))
+def tables(config):
+    """The gap table of a config's world and its agents' coverage codes."""
+    gaps = evolution._gap_table(config.request, config.alphabet)
+    return gaps, evolution._coverage_codes(gaps)
+
+
+def code_of(codes, agents):
+    return reduce(or_, map(codes.__getitem__, agents))
 
 
 class TestCoverageCodes:
     @given(coded_worlds())
     def test_equal_codes_mean_equal_profiles_and_scores(self, world):
         config, members = world
+        gaps, codes = tables(config)
         profiles, scores = {}, {}
         for symbols in members:
-            code = code_of(config, symbols)
+            code = code_of(codes, symbols)
             # the closest gap to each request value over the member's agents
-            rows = [config.gaps[agent] for agent in symbols]
+            rows = [gaps[agent] for agent in symbols]
             profile = tuple(map(min, rows[0], *rows))
             assert profiles.setdefault(code, profile) == profile
-            score = evolution._score(symbols, config.gaps)
+            score = evolution._score(symbols, gaps)
             assert scores.setdefault(code, score) == score
         assert len(set(profiles.values())) == len(profiles)
 
     @given(coded_worlds(), st.data())
     def test_a_code_is_that_of_the_distinct_agents_in_any_order(self, world, data):
         config, members = world
+        _, codes = tables(config)
         for symbols in members:
             agents = data.draw(st.permutations(sorted(set(symbols))))
-            assert code_of(config, agents) == code_of(config, symbols)
+            assert code_of(codes, agents) == code_of(codes, symbols)
 
     @given(
         coded_worlds(),
@@ -381,8 +389,8 @@ class TestCoverageCodes:
             handed.append((population.members, raw))
             return original(population, config, rng, raw)
 
-        def rescoring(raw, members, positions, config, known):
-            table = original_rescore(raw, members, positions, config, known)
+        def rescoring(raw, members, positions, codes, gaps, known):
+            table = original_rescore(raw, members, positions, codes, gaps, known)
             carried.append((members, raw))
             return table
 

@@ -242,6 +242,8 @@ VALUES = seed_42_values()
 def test_value_types_copy_compare_and_stay_frozen(name):
     value = VALUES[name]
     assert type(value).__name__ == name
+    # a record holds its fields and nothing else
+    assert set(vars(value)) == set(type(value)._fields)
     copies = [
         pickle.loads(pickle.dumps(value)),
         copy.copy(value),
